@@ -22,33 +22,23 @@ from .frame import write_csv
 from .pipeline import parse_query_spec, report_to_json
 
 
-def _env_seed() -> int | None:
+def _resolve_seed(flag: int | None) -> int:
+    """``--seed`` when given, else ``CAUSET_SEED``, else 0."""
+    if flag is not None:
+        return flag
     raw = os.environ.get("CAUSET_SEED")
     if raw is None:
-        return None
+        return 0
     try:
         return int(raw)
     except ValueError:
         raise CausetError(f"CAUSET_SEED must be an integer, got {raw!r}") from None
 
 
-def _resolve_seed(flag: int | None, spec_seed: int | None = None) -> int:
-    if flag is not None:
-        return flag
-    if spec_seed is not None:
-        return spec_seed
-    env = _env_seed()
-    return env if env is not None else 0
-
-
 def _load_spec(path: str, seed_flag: int | None):
-    spec = parse_query_spec(path)
-    env = _env_seed()
-    if seed_flag is not None:
-        spec = dataclasses.replace(spec, seed=seed_flag)
-    elif env is not None:
-        spec = dataclasses.replace(spec, seed=env)
-    return spec
+    """The query spec; its own ``seed`` ranks below ``--seed``, above ``CAUSET_SEED``."""
+    spec = parse_query_spec(path, default_seed=_resolve_seed(None))
+    return spec if seed_flag is None else dataclasses.replace(spec, seed=seed_flag)
 
 
 def _emit_report(report: dict, out_dir: Path, filename: str, fmt: str) -> None:

@@ -107,27 +107,60 @@ def regression_adjustment(
     )
 
 
+def _match_controls(e: np.ndarray, tv: np.ndarray) -> np.ndarray:
+    """Row index of the matched control for each treated row, in row order.
+
+    The match minimises the computed ``abs(e_t - e_c)``; among equal
+    distances the lowest row index wins.  Control scores are stable-sorted
+    and collapsed into runs of equal scores, each represented by its lowest
+    row.  A treated score is searched into the runs and compared with the
+    nearest run on each side.  Rounding can give several distinct
+    neighbouring scores on one side the same computed distance, so each side
+    keeps stepping outward while the next run still ties the minimum.
+    """
+    e_t = e[tv == 1.0]
+    control = np.flatnonzero(tv == 0.0)
+    e_c = e[control]
+    order = np.argsort(e_c, kind="stable")
+    s = e_c[order]
+    starts = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
+    # Infinite sentinels on both ends stop the outward steps.
+    u = np.r_[-np.inf, s[starts], np.inf]
+    lowest = np.r_[-1, control[order[starts]], -1]
+    k = np.searchsorted(u, e_t)  # u[k - 1] < e_t <= u[k]
+    d = np.minimum(np.abs(e_t - u[k - 1]), np.abs(e_t - u[k]))
+    matched = np.full(len(e_t), len(e), dtype=np.int64)
+    for step, j in ((-1, k - 1), (1, k)):
+        rows = np.flatnonzero(np.abs(e_t - u[j]) == d)
+        j = j[rows]
+        while rows.size:
+            matched[rows] = np.minimum(matched[rows], lowest[j])
+            j = j + step
+            tied = np.abs(e_t[rows] - u[j]) == d[rows]
+            rows, j = rows[tied], j[tied]
+    return matched
+
+
 def psm_att(
     f: Frame, t: str, y: str, z: Sequence[str], pm: PropensityModel
 ) -> EffectEstimate:
     """ATT by 1-nearest-neighbor propensity matching with replacement.
 
-    Each treated unit is matched to the control with the closest propensity
-    score; exact ties go to the lower row index.  The effect is the mean of
-    (treated outcome - matched control outcome).
+    Each treated unit is matched to the control whose clipped score gives the
+    smallest computed ``abs(e_t - e_c)``; equal distances go to the lowest
+    row index.  Matching is a sorted search: a stable argsort of the control
+    scores, ``searchsorted`` of each treated score, and a comparison with the
+    nearest distinct score on each side (see :func:`_match_controls`).  It
+    costs O((n_t + n_c) log n_c) time, plus one vectorised step for each
+    further score that rounding ties (about 16 at most for scores in
+    [0.05, 0.95]), and O(n) memory.  The effect is the
+    mean of (treated outcome - matched control outcome); ``n_control``
+    counts the distinct matched controls.
     """
     tv = _treatment_vector(f, t)
     yv = f.column(y).values
-    e = pm.scores(f)
     treated = np.flatnonzero(tv == 1.0)
-    control = np.flatnonzero(tv == 0.0)
-    e_c = e[control]
-    matched = np.empty(len(treated), dtype=np.int64)
-    # Chunked so the distance matrix stays small on large frames.
-    for start in range(0, len(treated), 256):
-        block = treated[start : start + 256]
-        d = np.abs(e[block][:, None] - e_c[None, :])
-        matched[start : start + len(block)] = control[np.argmin(d, axis=1)]
+    matched = _match_controls(pm.scores(f), tv)
     effect = float(np.mean(yv[treated] - yv[matched]))
     return EffectEstimate(
         method="psm",

@@ -106,8 +106,11 @@ class QuerySpec:
             raise ParseError("select at least one estimator or metalearner")
 
 
-def parse_query_spec(path: str | Path) -> QuerySpec:
-    """Parse a query-spec file; relative paths resolve against its directory."""
+def parse_query_spec(path: str | Path, default_seed: int = 0) -> QuerySpec:
+    """Parse a query-spec file; relative paths resolve against its directory.
+
+    ``default_seed`` is the seed when the file has no ``seed`` key.
+    """
     path = Path(path)
     base_dir = path.parent
     try:
@@ -142,7 +145,7 @@ def parse_query_spec(path: str | Path) -> QuerySpec:
         raw = values.pop(key)
         return [tok.strip() for tok in raw.split(",") if tok.strip()]
 
-    kwargs: dict = {"label_rules": tuple(rules)}
+    kwargs: dict = {"label_rules": tuple(rules), "seed": default_seed}
     for key in ("data", "graph"):
         if key not in values:
             raise ParseError(f"{path}: missing required key {key!r}")

@@ -130,6 +130,44 @@ def mse_loop(a, b):
     return total / len(a)
 
 
+def psm_match_bruteforce(e, tv):
+    """Matched control row per treated row by scanning every control.
+
+    The smallest computed distance is found first; the match is then the
+    lowest row index among the controls at that distance.
+    """
+    e = np.asarray(e, dtype=float).tolist()
+    tv = np.asarray(tv, dtype=float).tolist()
+    controls = [j for j, w in enumerate(tv) if w == 0.0]
+    matched = []
+    for i, w in enumerate(tv):
+        if w != 1.0:
+            continue
+        dist = {j: abs(e[i] - e[j]) for j in controls}
+        best = min(dist.values())
+        matched.append(min(j for j, d in dist.items() if d == best))
+    return np.array(matched, dtype=np.int64)
+
+
+def psm_match_chunked(e, tv):
+    """Matched control row per treated row from a chunked |e_t - e_c| matrix.
+
+    This is the former library matcher: ``argmin`` over all controls, which
+    returns the first (lowest-row) control among equal distances.
+    """
+    e = np.asarray(e, dtype=float)
+    tv = np.asarray(tv, dtype=float)
+    treated = np.flatnonzero(tv == 1.0)
+    control = np.flatnonzero(tv == 0.0)
+    e_c = e[control]
+    matched = np.empty(len(treated), dtype=np.int64)
+    for start in range(0, len(treated), 256):
+        block = treated[start : start + 256]
+        d = np.abs(e[block][:, None] - e_c[None, :])
+        matched[start : start + len(block)] = control[np.argmin(d, axis=1)]
+    return matched
+
+
 def uplift_gains_bruteforce(pred, w, y):
     """Per-prefix gains recomputed from scratch for every k."""
     order = sorted(range(len(pred)), key=lambda i: (-pred[i], i))

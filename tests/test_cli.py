@@ -94,6 +94,12 @@ class TestEstimateCommand:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["query"]["seed"] == 123
 
+    def test_spec_seed_outranks_env_seed(self, workdir, tmp_path, monkeypatch):
+        monkeypatch.setenv("CAUSET_SEED", "123")
+        main(["estimate", str(workdir / "query.spec"), "--out", str(tmp_path)])
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["query"]["seed"] == 11
+
     def test_machine_output_parses(self, workdir, tmp_path, capsys):
         rc = main(["estimate", str(workdir / "query.spec"), "--out", str(tmp_path),
                    "--format", "machine"])

@@ -1,9 +1,15 @@
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import psm_match_bruteforce, psm_match_chunked
 
 from causet.errors import NoValidStrataError, SingleClassError
 from causet.estimators import (
     PropensityModel,
+    _match_controls,
     fit_propensity,
     ipw_ate,
     psm_att,
@@ -143,6 +149,121 @@ class TestPsm:
         est = psm_att(f, "t", "y", ("x",), pm)
         se = 2 * 0.5 / np.sqrt(t.sum())
         assert est.value == pytest.approx(tau, abs=max(2 * se, 0.08))
+
+
+def _ulp_run(start, towards, count):
+    """``count`` consecutive floats from ``start`` stepping towards ``towards``."""
+    out = [start]
+    for _ in range(count - 1):
+        out.append(float(np.nextafter(out[-1], towards)))
+    return out
+
+
+# Clip bounds, their 1-ulp neighbours and runs of consecutive floats: from
+# 0.9 or 0.95, up to 16 consecutive floats above 0.05 share one computed
+# distance, so rounding ties between distinct scores are common here.
+SCORE_GRID = sorted(set(
+    _ulp_run(0.05, 1.0, 20)
+    + _ulp_run(0.95, 0.0, 4)
+    + [float(np.nextafter(0.05, 0.0)), float(np.nextafter(0.95, 1.0))]
+    + [0.1, 0.3, 0.45, 0.5, float(np.nextafter(0.5, 1.0)), 0.55, 0.7, 0.9]
+))
+grid_scores = st.sampled_from(SCORE_GRID)
+
+
+def _assert_matches_oracle(e_t, e_c, shuffle):
+    """Put treated and control scores in rows permuted by ``shuffle``, then
+    compare the matcher's rows with the oracle's."""
+    e = np.array([*e_t, *e_c])
+    tv = np.r_[np.ones(len(e_t)), np.zeros(len(e_c))]
+    rows = np.random.default_rng(shuffle).permutation(len(e))
+    e, tv = e[rows], tv[rows]
+    np.testing.assert_array_equal(_match_controls(e, tv), psm_match_bruteforce(e, tv))
+
+
+shuffles = st.integers(0, 2**32 - 1)
+
+
+class TestPsmMatching:
+    """The sorted-search matcher against per-treated scans of every control."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        e_t=st.lists(grid_scores, min_size=1, max_size=25),
+        e_c=st.lists(grid_scores, min_size=1, max_size=25),
+        shuffle=shuffles,
+    )
+    def test_grid_scores(self, e_t, e_c, shuffle):
+        _assert_matches_oracle(e_t, e_c, shuffle)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        e_c=st.lists(grid_scores, min_size=1, max_size=25),
+        pick=st.lists(st.integers(0, 24), min_size=1, max_size=10),
+        shuffle=shuffles,
+    )
+    def test_treated_equal_to_a_control(self, e_c, pick, shuffle):
+        e_t = [e_c[i % len(e_c)] for i in pick]
+        _assert_matches_oracle(e_t, e_c, shuffle)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        e_t=st.lists(st.sampled_from(SCORE_GRID[:3] + SCORE_GRID[-3:]), min_size=1, max_size=10),
+        e_c=st.lists(st.sampled_from(SCORE_GRID[3:-3]), min_size=1, max_size=25),
+        shuffle=shuffles,
+    )
+    def test_treated_outside_every_control(self, e_t, e_c, shuffle):
+        _assert_matches_oracle(e_t, e_c, shuffle)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        e_t=st.lists(grid_scores, min_size=1, max_size=25),
+        e_c=grid_scores,
+        shuffle=shuffles,
+    )
+    def test_one_control(self, e_t, e_c, shuffle):
+        _assert_matches_oracle(e_t, [e_c], shuffle)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        e_t=grid_scores,
+        e_c=st.lists(grid_scores, min_size=1, max_size=25),
+        shuffle=shuffles,
+    )
+    def test_one_treated(self, e_t, e_c, shuffle):
+        _assert_matches_oracle([e_t], e_c, shuffle)
+
+    def test_rounding_tie_goes_to_lowest_row(self):
+        # Four distinct controls one ulp apart, all at the same computed
+        # distance from the treated score: the lowest row wins whether it
+        # holds the nearest score or the farthest.
+        e_c = _ulp_run(0.05, 1.0, 4)[::-1]
+        e = np.array([0.9, *e_c])
+        tv = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
+        assert len({abs(0.9 - c) for c in e_c}) == 1
+        assert _match_controls(e, tv).tolist() == [1]
+        assert _match_controls(e[::-1], tv[::-1]).tolist() == [0]
+
+    def test_synthetic_fit_matches_chunked(self):
+        ss = generate(n=10000, seed=1)
+        f = ss.to_frame()
+        e = fit_propensity(f, "w", ss.feature_names).scores(f)
+        tv = f.binary_vector("w")
+        np.testing.assert_array_equal(_match_controls(e, tv), psm_match_chunked(e, tv))
+
+    def test_large_frame_is_not_quadratic(self):
+        # About 1e10 treated x control pairs: the former chunked matcher took
+        # 65 s here on a 2-core host, the sorted search 0.09 s.
+        rng = make_rng(4)
+        n = 200_000
+        t = (rng.uniform(size=n) < 0.5).astype(float)
+        e = np.clip(rng.uniform(size=n), 0.05, 0.95)
+        assert 0.08 < np.mean((e == 0.05) | (e == 0.95)) < 0.12
+        f = make_frame(t, rng.standard_normal(n))
+        start = time.perf_counter()
+        est = psm_att(f, "t", "y", (), ConstantPropensity(e))
+        assert time.perf_counter() - start < 10.0
+        assert est.n_treated == int(t.sum())
 
 
 class TestIpw:
