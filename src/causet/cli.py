@@ -36,9 +36,14 @@ def _resolve_seed(flag: int | None) -> int:
 
 
 def _load_spec(path: str, seed_flag: int | None):
-    """The query spec; its own ``seed`` ranks below ``--seed``, above ``CAUSET_SEED``."""
-    spec = parse_query_spec(path, default_seed=_resolve_seed(None))
-    return spec if seed_flag is None else dataclasses.replace(spec, seed=seed_flag)
+    """The query spec; its own ``seed`` ranks below ``--seed``, above ``CAUSET_SEED``.
+
+    ``CAUSET_SEED`` is read only when it decides the seed.
+    """
+    spec = parse_query_spec(path, default_seed=None)
+    if seed_flag is not None or spec.seed is None:
+        spec = dataclasses.replace(spec, seed=_resolve_seed(seed_flag))
+    return spec
 
 
 def _emit_report(report: dict, out_dir: Path, filename: str, fmt: str) -> None:

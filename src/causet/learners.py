@@ -98,24 +98,112 @@ class _Tree:
         return len(self.feature)
 
 
+def _best_split(
+    XT: np.ndarray,
+    w: np.ndarray,
+    wt: np.ndarray,
+    node_orders: np.ndarray,
+    wsum: float,
+    wysum: float,
+    lam: float,
+    min_leaf: int,
+    buf: np.ndarray,
+    flags: np.ndarray,
+) -> tuple[float, int, float]:
+    """Best ``(gain, feature, threshold)`` of one node, all features at once.
+
+    ``node_orders`` stacks the node's per-feature sort orders, shape
+    ``(p, n_node)``.  Only the split positions that leave ``min_leaf`` rows
+    on each side, ``[min_leaf - 1, n_node - min_leaf)``, are scored: the
+    weight prefix sums run along axis 1 and the gains are computed for the
+    whole ``(p, window)`` block in the caller's scratch buffers (five float
+    and two bool rows of at least ``p * n_node``), so a node allocates
+    nothing large.  Within a feature the first best position wins; across
+    features a later feature must be strictly better, so ties go to the
+    lowest feature.  Feature -1 means no split has positive gain.
+    """
+    p, n_node = node_orders.shape
+    lo, hi = min_leaf - 1, n_node - min_leaf
+    m = hi - lo
+
+    def block(rows: np.ndarray, k: int, width: int) -> np.ndarray:
+        return rows[k, : p * width].reshape(p, width)
+
+    v = block(buf, 0, m + 1)
+    for j in range(p):
+        np.take(XT[j], node_orders[j, lo : hi + 1], out=v[j], mode="wrap")
+    head = node_orders[:, :hi]
+    cw = block(buf, 1, hi)
+    np.take(w, head, out=cw, mode="wrap")
+    np.cumsum(cw, axis=1, out=cw)
+    cwy = block(buf, 2, hi)
+    np.take(wt, head, out=cwy, mode="wrap")
+    np.cumsum(cwy, axis=1, out=cwy)
+    cw, cwy = cw[:, lo:], cwy[:, lo:]
+
+    # gain = cwy^2 / (cw + lam) + (wysum - cwy)^2 / (rw + lam) - parent_score,
+    # with rw = wsum - cw, evaluated in that order so every bit is the same.
+    valid, ok = block(flags, 0, m), block(flags, 1, m)
+    np.less(v[:, :-1], v[:, 1:], out=valid)
+    np.greater(cw, 0, out=ok)
+    valid &= ok
+    gain, denom = block(buf, 3, m), block(buf, 4, m)
+    np.add(cw, lam, out=denom)
+    rw = np.subtract(wsum, cw, out=cw)
+    np.greater(rw, 0, out=ok)
+    valid &= ok
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.subtract(wysum, cwy, out=gain)
+        np.square(gain, out=gain)
+        np.square(cwy, out=cwy)
+        np.divide(cwy, denom, out=cwy)
+        np.add(rw, lam, out=rw)
+        np.divide(gain, rw, out=gain)
+        np.add(cwy, gain, out=gain)
+        np.subtract(gain, wysum**2 / (wsum + lam), out=gain)
+    np.logical_not(valid, out=valid)
+    np.copyto(gain, -np.inf, where=valid)
+
+    pos = gain.argmax(axis=1)
+    best_gain, best_feat, best_thr = 0.0, -1, 0.0
+    for j, (i, g) in enumerate(zip(pos.tolist(), gain[np.arange(p), pos].tolist())):
+        if g > best_gain:
+            best_gain, best_feat = g, j
+            best_thr = float((v[j, i] + v[j, i + 1]) / 2.0)
+    return best_gain, best_feat, best_thr
+
+
 def _grow_tree(
-    X: np.ndarray,
+    XT: np.ndarray,
     target: np.ndarray,
     w: np.ndarray,
     max_depth: int,
-    orders: list[np.ndarray],
+    orders: np.ndarray,
     leaf_penalty: float = 0.0,
     min_leaf: int = 1,
-) -> _Tree:
-    """Exact greedy penalized-squared-error tree.
+) -> tuple[_Tree, np.ndarray]:
+    """Exact greedy penalized-squared-error tree, and its value on every row.
 
+    ``XT`` is the feature matrix transposed to ``(p, n)`` and ``orders`` the
+    stable per-feature sort orders of its rows, one ``(p, n)`` int64 array.
     Splits are searched at midpoints of sorted unique feature values.  Leaf
     values minimize sum w (r - v)^2 + leaf_penalty * v^2, i.e. they are
     shrunken weighted means; the split gain uses the same penalized
     objective.  Both children must hold at least ``min_leaf`` samples.
 
-    The per-feature sort orders are partitioned down the tree (never
-    re-sorted), so growing a node costs O(rows-in-node * features).
+    Each node runs one stacked search over all features (:func:`_best_split`)
+    in scratch buffers allocated once per tree, then splits its ``(p,
+    n_node)`` orders into the children's with one boolean mask and a
+    reshape; the orders are never re-sorted.  A node costs O(n_node * p)
+    time, and only the orders of nodes still to be grown (at most one per
+    level, plus the current node's children) outlive it.  Nodes are grown
+    depth first, left child first, from an explicit stack, so they are
+    numbered in preorder and growth leaves no reference cycle behind.
+
+    Growth sends row i left exactly when ``X[i, f] <= threshold``, which for
+    finite X is the route :meth:`_Tree.predict` takes, and each leaf writes
+    its value into the returned per-row array.  That array therefore equals
+    ``tree.predict(X)`` bit for bit without a second pass over the tree.
     """
     feature: list[int] = []
     threshold: list[float] = []
@@ -125,66 +213,52 @@ def _grow_tree(
 
     wt = w * target
     lam = leaf_penalty
-    scratch = np.zeros(X.shape[0], dtype=bool)
-
-    def new_node() -> int:
+    p, n = orders.shape
+    fitted = np.empty(n)
+    scratch = np.zeros(n, dtype=bool)
+    buf = np.empty((5, p * n))
+    flags = np.empty((2, p * n), dtype=bool)
+    # (orders, depth, parent's child-link list, parent); the left child is
+    # pushed last, so it is popped first.
+    stack = [(orders, 0, None, -1)]
+    while stack:
+        node_orders, depth, link, parent = stack.pop()
+        node = len(feature)
+        if link is not None:
+            link[parent] = node
+        rows = node_orders[0] if p else np.arange(n)
+        n_node = rows.size
+        w_node = w[rows]
+        wsum = float(w_node.sum())
+        wysum = float(wt[rows].sum())
+        leaf = wysum / (wsum + lam)
         feature.append(-1)
         threshold.append(0.0)
         left.append(-1)
         right.append(-1)
-        value.append(0.0)
-        return len(feature) - 1
-
-    def build(node_orders: list[np.ndarray], depth: int) -> int:
-        node = new_node()
-        rows = node_orders[0] if node_orders else np.arange(X.shape[0])
-        n_node = rows.size
-        wsum = float(w[rows].sum())
-        wysum = float(wt[rows].sum())
-        value[node] = wysum / (wsum + lam)
+        value.append(leaf)
         mean = wysum / wsum
-        sse = float((w[rows] * (target[rows] - mean) ** 2).sum())
-        if depth >= max_depth or n_node < 2 * min_leaf or sse <= 0.0:
-            return node
-
-        best_gain = 0.0
-        best_feat = -1
-        best_thr = 0.0
-        parent_score = wysum**2 / (wsum + lam)
-        counts = np.arange(1, n_node)
-        for j, idx in enumerate(node_orders):
-            v = X[idx, j]
-            cw = np.cumsum(w[idx])[:-1]
-            cwy = np.cumsum(wt[idx])[:-1]
-            rw = wsum - cw
-            valid = (v[:-1] < v[1:]) & (cw > 0) & (rw > 0)
-            if min_leaf > 1:
-                valid &= (counts >= min_leaf) & (n_node - counts >= min_leaf)
-            if not valid.any():
-                continue
-            with np.errstate(divide="ignore", invalid="ignore"):
-                gain = cwy**2 / (cw + lam) + (wysum - cwy) ** 2 / (rw + lam) - parent_score
-            gain = np.where(valid, gain, -np.inf)
-            i = int(np.argmax(gain))
-            if gain[i] > best_gain:
-                best_gain = float(gain[i])
-                best_feat = j
-                best_thr = float((v[i] + v[i + 1]) / 2.0)
-
+        sse = float((w_node * (target[rows] - mean) ** 2).sum())
+        best_gain, best_feat, best_thr = 0.0, -1, 0.0
+        if depth < max_depth and n_node >= 2 * min_leaf and sse > 0.0:
+            best_gain, best_feat, best_thr = _best_split(
+                XT, w, wt, node_orders, wsum, wysum, lam, min_leaf, buf, flags
+            )
         if best_feat < 0 or best_gain <= _SPLIT_TOL * sse:
-            return node
+            fitted[rows] = leaf
+            continue
 
-        scratch[rows] = X[rows, best_feat] <= best_thr
-        left_orders = [idx[scratch[idx]] for idx in node_orders]
-        right_orders = [idx[~scratch[idx]] for idx in node_orders]
+        # One mask over the flattened (p, n_node) orders; np.compress keeps
+        # each feature's order and is several times faster than a boolean
+        # index here.
+        scratch[rows] = XT[best_feat, rows] <= best_thr
+        goes_left = scratch.take(node_orders).ravel()
+        flat = node_orders.ravel()
         feature[node] = best_feat
         threshold[node] = best_thr
-        left[node] = build(left_orders, depth + 1)
-        right[node] = build(right_orders, depth + 1)
-        return node
-
-    build(list(orders), 0)
-    return _Tree(feature, threshold, left, right, value)
+        stack.append((np.compress(~goes_left, flat).reshape(p, -1), depth + 1, right, node))
+        stack.append((np.compress(goes_left, flat).reshape(p, -1), depth + 1, left, node))
+    return _Tree(feature, threshold, left, right, value), fitted
 
 
 class FittedModel:
@@ -434,8 +508,19 @@ def fit_gbt(
 
     Prediction is mean(y) + sum_m learning_rate * tree_m(x).  Each tree is
     grown by exact greedy search over midpoints of sorted unique feature
-    values (min 1 sample per leaf) on the current residuals.  Boosting stops
-    at ``max_iterations`` rounds, or earlier once residuals hit zero.
+    values (at least ``min_leaf`` samples per leaf) on the current
+    residuals.  Boosting stops at ``max_iterations`` rounds, or earlier once
+    residuals hit zero.
+
+    ``X.T`` and the stable sort order of every feature are made once per
+    fit, as two ``(p, n)`` arrays that every tree reuses.  The training
+    predictions advance by the per-row leaf values that growth returns, so a
+    round costs one tree's growth and no prediction pass.  Time is
+    O(rounds * depth * n * p) after the O(p * n log n) sort.  Memory is
+    O(n * p): the transposed matrix and sort orders, the orders of the nodes
+    waiting to be grown, and one tree's scratch buffers (see
+    :func:`_grow_tree`); all of it is freed when the fit returns, and the
+    model keeps only its trees.
     """
     spec = spec or LearnerSpec("gbt")
     if spec.kind != "gbt":
@@ -446,16 +531,17 @@ def fit_gbt(
         raise ValueError("weights sum to zero")
     base = float((w * y).sum() / wsum)
     current = np.full(X.shape[0], base)
-    orders = [np.argsort(X[:, j], kind="stable") for j in range(X.shape[1])]
+    XT = np.ascontiguousarray(X.T)
+    orders = np.argsort(XT, axis=1, kind="stable")
     trees = []
     for _ in range(spec.max_iterations):
         residual = y - current
         if float((w * residual**2).sum()) == 0.0:
             break
-        tree = _grow_tree(
-            X, residual, w, spec.max_depth, orders, spec.leaf_penalty, spec.min_leaf
+        tree, fitted = _grow_tree(
+            XT, residual, w, spec.max_depth, orders, spec.leaf_penalty, spec.min_leaf
         )
-        current = current + spec.learning_rate * tree.predict(X)
+        current = current + spec.learning_rate * fitted
         trees.append(tree)
     return FittedModel(spec, names, base_value=base, trees=tuple(trees))
 

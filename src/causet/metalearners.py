@@ -131,18 +131,38 @@ def t_learner(
 
 
 def x_learner(
-    f: Frame, t: str, y: str, z: Sequence[str], base: LearnerSpec, pm: PropensityModel
+    f: Frame,
+    t: str,
+    y: str,
+    z: Sequence[str],
+    base: LearnerSpec,
+    pm: PropensityModel,
+    stage1: CateModel | None = None,
 ) -> CateModel:
     """Cross-imputation learner blended by the propensity score.
 
-    Stage 1 fits the two arm models; stage 2 regresses the imputed effects
-    (observed minus counterfactual prediction) within each arm; predictions
-    blend as e(x) * tau0(x) + (1 - e(x)) * tau1(x).
+    Stage 1 is the T-learner: its two arm models mu1 and mu0.  Pass the
+    T-learner already fitted on the same frame, outcome, features and base
+    as ``stage1`` to reuse its arm models; without it, the T-learner is
+    fitted here.  Stage 2 regresses the imputed effects (observed minus
+    counterfactual prediction) within each arm; predictions blend as
+    e(x) * tau0(x) + (1 - e(x)) * tau1(x).
+
+    Raises ``ValueError`` when ``stage1`` is not a T-learner with this base,
+    treatment, feature set and row count.
     """
     tv, yv, X = _setup(f, t, y, z, base)
+    if stage1 is None:
+        stage1 = t_learner(f, t, y, z, base)
+    elif (stage1.learner, stage1.base, stage1.features, stage1.treatment, stage1.ite.size) != (
+        "T", base, tuple(z), t, f.n_rows
+    ):
+        raise ValueError(
+            f"stage 1 must be the T-learner on the same frame, treatment, features and base; "
+            f"got {stage1.learner}:{stage1.base.kind} over {list(stage1.features)}"
+        )
     treated = tv == 1.0
-    mu1 = fit_learner(base, X[treated], yv[treated], feature_names=z)
-    mu0 = fit_learner(base, X[~treated], yv[~treated], feature_names=z)
+    mu1, mu0 = stage1.models["mu1"], stage1.models["mu0"]
     d1 = yv[treated] - mu0.predict(X[treated])
     d0 = mu1.predict(X[~treated]) - yv[~treated]
     tau1 = fit_learner(base, X[treated], d1, feature_names=z)

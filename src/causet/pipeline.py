@@ -106,10 +106,11 @@ class QuerySpec:
             raise ParseError("select at least one estimator or metalearner")
 
 
-def parse_query_spec(path: str | Path, default_seed: int = 0) -> QuerySpec:
+def parse_query_spec(path: str | Path, default_seed: int | None = 0) -> QuerySpec:
     """Parse a query-spec file; relative paths resolve against its directory.
 
-    ``default_seed`` is the seed when the file has no ``seed`` key.
+    ``default_seed`` is the seed when the file has no ``seed`` key; pass
+    None to leave ``seed`` None then, so the caller can tell.
     """
     path = Path(path)
     base_dir = path.parent
@@ -264,14 +265,22 @@ def _prepare_frame(f: Frame, spec: QuerySpec, z: Sequence[str]) -> tuple[Frame, 
     return f, tuple(zcols)
 
 
-def _fit_metalearner(learner, base_spec, frame, t, y, z, pm):
+def _fit_metalearner(learner, base_spec, frame, t, y, z, pm, t_fits):
+    """Fit one meta-learner; ``t_fits`` holds the T-learners fitted on this frame.
+
+    The caller passes one empty dict per frame.  T and X share the
+    T-learner of each base (X's stage 1 is its two arm models), so it is
+    fitted at most once per frame and base, whichever of T and X comes first.
+    """
     if learner == "S":
         return metalearners.s_learner(frame, t, y, z, base_spec)
+    if learner == "R":
+        return metalearners.r_learner(frame, t, y, z, base_spec, pm)
+    if base_spec not in t_fits:
+        t_fits[base_spec] = metalearners.t_learner(frame, t, y, z, base_spec)
     if learner == "T":
-        return metalearners.t_learner(frame, t, y, z, base_spec)
-    if learner == "X":
-        return metalearners.x_learner(frame, t, y, z, base_spec, pm)
-    return metalearners.r_learner(frame, t, y, z, base_spec, pm)
+        return t_fits[base_spec]
+    return metalearners.x_learner(frame, t, y, z, base_spec, pm, t_fits[base_spec])
 
 
 def _estimator_task(method: str, spec: QuerySpec) -> EstimationTask:
@@ -339,9 +348,10 @@ def run_query(spec: QuerySpec, out_dir: str | Path | None = None) -> dict:
             est = stratified_ate(f, t, y, pm, k=spec.strata)
         effects.append(_effect_row(est, control_mean))
 
+    t_fits: dict = {}
     for learner, base in spec.metalearners:
         base_spec = LearnerSpec(base)
-        cate = _fit_metalearner(learner, base_spec, f, t, y, z, pm)
+        cate = _fit_metalearner(learner, base_spec, f, t, y, z, pm, t_fits)
         label = f"{learner}:{base}"
         effects.append(
             {
@@ -486,8 +496,9 @@ def run_validation(
         tau_train = train.values("tau_true")
         tau_val = val.values("tau_true")
 
+        t_fits: dict = {}
         for learner, base in VALIDATION_COMBOS:
-            cate = _fit_metalearner(learner, base_specs[base], train, "w", "y", z, pm)
+            cate = _fit_metalearner(learner, base_specs[base], train, "w", "y", z, pm, t_fits)
             ite_val = cate.predict_ite(val)
             scatter = evaluation.prediction_scatter(ite_val, tau_val)
             curve = evaluation.uplift_curve_true(ite_val, tau_val)

@@ -12,6 +12,7 @@ import itertools
 import numpy as np
 
 from causet.graph import CausalGraph
+from causet.learners import _SPLIT_TOL, _Tree
 
 
 # -- d-separation by exhaustive path enumeration -------------------------------
@@ -166,6 +167,101 @@ def psm_match_chunked(e, tv):
         d = np.abs(e[block][:, None] - e_c[None, :])
         matched[start : start + len(block)] = control[np.argmin(d, axis=1)]
     return matched
+
+
+# -- gbt ----------------------------------------------------------------------
+
+
+def grow_tree_per_feature(
+    X: np.ndarray,
+    target: np.ndarray,
+    w: np.ndarray,
+    max_depth: int,
+    orders: list[np.ndarray],
+    leaf_penalty: float = 0.0,
+    min_leaf: int = 1,
+) -> _Tree:
+    """Exact greedy penalized-squared-error tree, one split search per feature.
+
+    This is the former library grower, kept verbatim: ``X`` is (n, p),
+    ``orders`` a list of per-feature sort orders, and ``build`` recurses.
+
+    Splits are searched at midpoints of sorted unique feature values.  Leaf
+    values minimize sum w (r - v)^2 + leaf_penalty * v^2, i.e. they are
+    shrunken weighted means; the split gain uses the same penalized
+    objective.  Both children must hold at least ``min_leaf`` samples.
+
+    The per-feature sort orders are partitioned down the tree (never
+    re-sorted), so growing a node costs O(rows-in-node * features).
+    """
+    feature: list[int] = []
+    threshold: list[float] = []
+    left: list[int] = []
+    right: list[int] = []
+    value: list[float] = []
+
+    wt = w * target
+    lam = leaf_penalty
+    scratch = np.zeros(X.shape[0], dtype=bool)
+
+    def new_node() -> int:
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(0.0)
+        return len(feature) - 1
+
+    def build(node_orders: list[np.ndarray], depth: int) -> int:
+        node = new_node()
+        rows = node_orders[0] if node_orders else np.arange(X.shape[0])
+        n_node = rows.size
+        wsum = float(w[rows].sum())
+        wysum = float(wt[rows].sum())
+        value[node] = wysum / (wsum + lam)
+        mean = wysum / wsum
+        sse = float((w[rows] * (target[rows] - mean) ** 2).sum())
+        if depth >= max_depth or n_node < 2 * min_leaf or sse <= 0.0:
+            return node
+
+        best_gain = 0.0
+        best_feat = -1
+        best_thr = 0.0
+        parent_score = wysum**2 / (wsum + lam)
+        counts = np.arange(1, n_node)
+        for j, idx in enumerate(node_orders):
+            v = X[idx, j]
+            cw = np.cumsum(w[idx])[:-1]
+            cwy = np.cumsum(wt[idx])[:-1]
+            rw = wsum - cw
+            valid = (v[:-1] < v[1:]) & (cw > 0) & (rw > 0)
+            if min_leaf > 1:
+                valid &= (counts >= min_leaf) & (n_node - counts >= min_leaf)
+            if not valid.any():
+                continue
+            with np.errstate(divide="ignore", invalid="ignore"):
+                gain = cwy**2 / (cw + lam) + (wysum - cwy) ** 2 / (rw + lam) - parent_score
+            gain = np.where(valid, gain, -np.inf)
+            i = int(np.argmax(gain))
+            if gain[i] > best_gain:
+                best_gain = float(gain[i])
+                best_feat = j
+                best_thr = float((v[i] + v[i + 1]) / 2.0)
+
+        if best_feat < 0 or best_gain <= _SPLIT_TOL * sse:
+            return node
+
+        scratch[rows] = X[rows, best_feat] <= best_thr
+        left_orders = [idx[scratch[idx]] for idx in node_orders]
+        right_orders = [idx[~scratch[idx]] for idx in node_orders]
+        feature[node] = best_feat
+        threshold[node] = best_thr
+        left[node] = build(left_orders, depth + 1)
+        right[node] = build(right_orders, depth + 1)
+        return node
+
+    build(list(orders), 0)
+    return _Tree(feature, threshold, left, right, value)
 
 
 def uplift_gains_bruteforce(pred, w, y):

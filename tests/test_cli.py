@@ -100,6 +100,28 @@ class TestEstimateCommand:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["query"]["seed"] == 11
 
+    def test_bad_env_seed_ignored_when_flag_decides(self, workdir, tmp_path, monkeypatch):
+        monkeypatch.setenv("CAUSET_SEED", "abc")
+        assert main(["estimate", str(workdir / "query.spec"), "--out", str(tmp_path),
+                     "--seed", "3"]) == 0
+        assert json.loads((tmp_path / "report.json").read_text())["query"]["seed"] == 3
+
+    def test_bad_env_seed_ignored_when_spec_decides(self, workdir, tmp_path, monkeypatch):
+        monkeypatch.setenv("CAUSET_SEED", "abc")
+        assert main(["estimate", str(workdir / "query.spec"), "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "report.json").read_text())["query"]["seed"] == 11
+
+    def test_bad_env_seed_fails_when_it_decides(self, workdir, tmp_path, monkeypatch, capsys):
+        spec = workdir / "noseed.spec"
+        spec.write_text(
+            (workdir / "query.spec").read_text().replace("seed = 11\n", ""),
+            encoding="utf-8",
+        )
+        monkeypatch.setenv("CAUSET_SEED", "abc")
+        assert main(["estimate", str(spec), "--out", str(tmp_path)]) == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["message"] == "CAUSET_SEED must be an integer, got 'abc'"
+
     def test_machine_output_parses(self, workdir, tmp_path, capsys):
         rc = main(["estimate", str(workdir / "query.spec"), "--out", str(tmp_path),
                    "--format", "machine"])

@@ -1,10 +1,16 @@
+import gc
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causet.errors import DimensionMismatchError, SingleClassError
 from causet.learners import (
     FittedModel,
     LearnerSpec,
+    _grow_tree,
     fit_gbt,
     fit_learner,
     fit_linear,
@@ -12,7 +18,7 @@ from causet.learners import (
 )
 from causet.rng import make_rng
 
-from oracles import logistic_loglik, normal_equations_fit
+from oracles import grow_tree_per_feature, logistic_loglik, normal_equations_fit
 
 
 class TestLearnerSpec:
@@ -176,6 +182,126 @@ class TestFitGbt:
         y = np.array([1.0, 2.0, 3.0])
         m = fit_gbt(np.empty((3, 0)), y)
         assert np.allclose(m.predict(np.empty((3, 0))), y.mean())
+
+
+# Per-row weights drawn from this pool cover zero and tiny weights, where
+# rounding can leave a child with no positive weight.
+WEIGHT_POOL = (0.0, 1e-300, 1e-8, 0.5, 1.0, 2.0)
+TREE_ARRAYS = ("feature", "threshold", "left", "right", "value")
+
+
+@st.composite
+def grow_cases(draw):
+    n = draw(st.integers(1, 150))
+    p = draw(st.integers(0, 3))
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+    # None: no tied values; "ulp": 1.0 and its next two floats, where a
+    # midpoint threshold rounds onto one of the two values it separates.
+    levels = draw(st.sampled_from((2, 3, 6, "ulp", None)))
+    if levels is None:
+        X = rng.standard_normal((n, p))
+    elif levels == "ulp":
+        X = 1.0 + rng.integers(0, 3, size=(n, p)) * np.finfo(float).eps
+    else:
+        X = rng.integers(0, levels, size=(n, p)).astype(float)
+    target = rng.standard_normal(n)
+    weighting = draw(st.sampled_from(("ones", "uniform", "pool")))
+    if weighting == "ones":
+        w = np.ones(n)
+    elif weighting == "uniform":
+        w = rng.uniform(0.0, 2.0, size=n)
+    else:
+        w = np.array(WEIGHT_POOL)[rng.integers(0, len(WEIGHT_POOL), size=n)]
+    return (
+        X,
+        target,
+        w,
+        draw(st.integers(1, 6)),
+        draw(st.sampled_from((1, 2, 20))),
+        draw(st.sampled_from((0.0, 1.0))),
+    )
+
+
+def assert_same_tree(X, target, w, max_depth, min_leaf, lam):
+    """The stacked grower gives the per-feature grower's tree, bit for bit,
+    and its per-row values equal ``tree.predict(X)``."""
+    orders = [np.argsort(X[:, j], kind="stable") for j in range(X.shape[1])]
+    XT = np.ascontiguousarray(X.T)
+    stacked = np.argsort(XT, axis=1, kind="stable")
+    try:
+        want = grow_tree_per_feature(X, target, w, max_depth, orders, lam, min_leaf)
+    except ZeroDivisionError:
+        # a node with no positive weight: both growers must refuse it
+        with pytest.raises(ZeroDivisionError):
+            _grow_tree(XT, target, w, max_depth, stacked, lam, min_leaf)
+        return None
+    got, fitted = _grow_tree(XT, target, w, max_depth, stacked, lam, min_leaf)
+    for name in TREE_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert fitted.tobytes() == got.predict(X).tobytes()
+    return got
+
+
+class TestGrowTree:
+    """The stacked grower against the per-feature one it replaced."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(grow_cases())
+    def test_matches_per_feature_grower(self, case):
+        assert_same_tree(*case)
+
+    def test_matches_per_feature_grower_on_deep_trees(self):
+        splits = 0
+        for seed in range(12):
+            rng = make_rng(seed)
+            X = rng.standard_normal((400, 3))
+            X[:, 1] = np.round(X[:, 1])
+            target = np.sin(2 * X[:, 0]) + X[:, 1] + rng.standard_normal(400)
+            w = rng.uniform(0.0, 2.0, size=400) * (rng.uniform(size=400) > 0.1)
+            for min_leaf in (1, 20):
+                for lam in (0.0, 1.0):
+                    tree = assert_same_tree(X, target, w, 6, min_leaf, lam)
+                    splits += int((tree.feature >= 0).sum())
+        assert splits > 1000
+
+
+def _pinned_fits():
+    rng = make_rng(2024)
+    X = rng.standard_normal((1500, 4))
+    X[:, 3] = np.round(X[:, 3])  # a feature with heavy ties
+    y = np.sin(2 * X[:, 0]) + X[:, 1] * (X[:, 3] > 0) + 0.5 * rng.standard_normal(1500)
+    w = rng.uniform(0.0, 2.0, size=1500)
+    w[::9] = 0.0
+    plain = fit_gbt(X, y, feature_names=("a", "b", "c", "d"))
+    weighted = fit_gbt(
+        X, y, w=w, spec=LearnerSpec("gbt", max_iterations=60, min_leaf=5, leaf_penalty=0.5)
+    )
+    return plain, weighted
+
+
+class TestGbtPinned:
+    def test_describe_hashes_unchanged(self):
+        # Taken with the per-feature grower that re-predicted the training
+        # rows every round.  gbt uses no BLAS, so these hold on any platform.
+        plain, weighted = _pinned_fits()
+        digest = [hashlib.sha256(m.describe().encode()).hexdigest() for m in (plain, weighted)]
+        assert digest == [
+            "0a4b9348e7c4340fcbc970d643c17b3b248bc9c43c29f0c20006c5cb68152ae7",
+            "d4edf223517851ab4041e653aeac363b93add2b93d9eeec6dbf0be653245e377",
+        ]
+
+    def test_fit_leaves_no_cyclic_garbage(self):
+        rng = make_rng(6)
+        X = rng.standard_normal((500, 3))
+        y = X[:, 0] + rng.standard_normal(500)
+        gc.collect()
+        gc.disable()
+        try:
+            fit_gbt(X, y, spec=LearnerSpec("gbt", max_iterations=30))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestSerialization:

@@ -3,10 +3,12 @@ import pytest
 
 from causet.errors import SingleClassError
 from causet.estimators import fit_propensity
-from causet.frame import Frame
+from causet.frame import Frame, write_csv
 from causet.learners import LearnerSpec
 from causet.metalearners import r_learner, s_learner, t_learner, x_learner
+from causet.pipeline import QuerySpec, run_query
 from causet.rng import make_rng
+from causet.synth import generate
 
 LINEAR = LearnerSpec("linear")
 GBT_SMALL = LearnerSpec("gbt", min_leaf=1, leaf_penalty=0.0)
@@ -101,6 +103,68 @@ class TestXLearner:
         pm = fit_propensity(f, "t", ("x",))
         cate = x_learner(f, "t", "y", ("x",), LINEAR, pm)
         assert cate.ite == pytest.approx(np.full(f.n_rows, 1.5), abs=1e-6)
+
+
+class TestXLearnerStage1:
+    """X's stage 1 is the T-learner's pair of arm models."""
+
+    @staticmethod
+    def world():
+        f = generate(n=600, sigma=1.0, seed=31).to_frame()
+        z = ("x0", "x1", "x2", "x3", "x4")
+        return f, z, fit_propensity(f, "w", z)
+
+    @pytest.mark.parametrize("base", [LINEAR, LearnerSpec("gbt", max_iterations=20)])
+    def test_shared_stage1_equals_standalone(self, base):
+        f, z, pm = self.world()
+        alone = x_learner(f, "w", "y", z, base, pm)
+        stage1 = t_learner(f, "w", "y", z, base)
+        shared = x_learner(f, "w", "y", z, base, pm, stage1)
+        assert shared.models["mu1"] is stage1.models["mu1"]
+        assert shared.models["mu0"] is stage1.models["mu0"]
+        assert shared.ite.tobytes() == alone.ite.tobytes()
+        assert shared.ate == alone.ate
+        g = generate(n=50, sigma=1.0, seed=32).to_frame()
+        assert shared.predict_ite(g).tobytes() == alone.predict_ite(g).tobytes()
+
+    def test_rejects_foreign_stage1(self):
+        f, z, pm = self.world()
+        gbt = LearnerSpec("gbt", max_iterations=5)
+        foreign = {
+            "another learner": s_learner(f, "w", "y", z, LINEAR),
+            "another base": t_learner(f, "w", "y", z, gbt),
+            "another feature set": t_learner(f, "w", "y", z[:3], LINEAR),
+        }
+        for why, stage1 in foreign.items():
+            with pytest.raises(ValueError, match="stage 1"):
+                x_learner(f, "w", "y", z, LINEAR, pm, stage1)
+
+    def test_order_of_t_and_x_in_a_query_does_not_matter(self, tmp_path):
+        f = generate(n=400, sigma=1.0, seed=33).to_frame()
+        for name in ("tau_true", "e_true", "b_true"):
+            f = f.drop(name)
+        write_csv(f, tmp_path / "data.csv")
+        edges = "".join(f"x{i} -> w; x{i} -> y\n" for i in range(5))
+        (tmp_path / "model.graph").write_text(
+            edges + "w -> y\n@treatment w\n@outcome y\n", encoding="utf-8"
+        )
+
+        def effects(*combos):
+            spec = QuerySpec(
+                data=str(tmp_path / "data.csv"),
+                graph=str(tmp_path / "model.graph"),
+                treatment="w",
+                outcome="y",
+                estimators=(),
+                metalearners=combos,
+            )
+            return {r["method"]: r for r in run_query(spec)["effects"]}
+
+        x_first = effects(("X", "gbt"), ("T", "linear"), ("T", "gbt"))
+        t_first = effects(("T", "gbt"), ("X", "gbt"), ("T", "linear"))
+        assert x_first == t_first
+        for method, row in x_first.items():
+            assert effects(tuple(method.split(":"))) == {method: row}
 
 
 class TestRLearner:
