@@ -89,7 +89,8 @@ class _Tree:
             if not internal.any():
                 break
             xv = X[np.arange(n), np.where(internal, feat, 0)]
-            go_right = internal & (xv > self.threshold[node])
+            # ~(x <= thr), not x > thr: a NaN goes right, as in growth.
+            go_right = internal & ~(xv <= self.threshold[node])
             nxt = np.where(go_right, self.right[node], np.where(internal, self.left[node], node))
             node = nxt
         return self.value[node]
@@ -200,10 +201,11 @@ def _grow_tree(
     depth first, left child first, from an explicit stack, so they are
     numbered in preorder and growth leaves no reference cycle behind.
 
-    Growth sends row i left exactly when ``X[i, f] <= threshold``, which for
-    finite X is the route :meth:`_Tree.predict` takes, and each leaf writes
-    its value into the returned per-row array.  That array therefore equals
-    ``tree.predict(X)`` bit for bit without a second pass over the tree.
+    Growth sends row i left exactly when ``X[i, f] <= threshold``, which is
+    the route :meth:`_Tree.predict` takes for every X (a NaN goes right in
+    both), and each leaf writes its value into the returned per-row array.
+    That array therefore equals ``tree.predict(X)`` bit for bit without a
+    second pass over the tree.
     """
     feature: list[int] = []
     threshold: list[float] = []

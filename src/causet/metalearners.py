@@ -9,7 +9,7 @@ support.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -25,9 +25,9 @@ from .learners import FittedModel, LearnerSpec, fit_learner
 class CateModel:
     """Per-unit effect predictions from one meta-learner.
 
-    ``ite`` holds tau-hat for every row of the fitting frame and ``ate`` is
-    exactly its mean.  ``models`` keeps the fitted sub-models (keys depend on
-    the learner) so :meth:`predict_ite` works out of sample.
+    ``models`` keeps the fitted sub-models (keys depend on the learner) so
+    :meth:`predict_ite` works out of sample.  ``ite`` is :meth:`predict_ite`
+    on the fitting frame, bit for bit, and ``ate`` is exactly its mean.
     """
 
     learner: str
@@ -45,21 +45,7 @@ class CateModel:
 
     def predict_ite(self, f: Frame) -> np.ndarray:
         """Predicted per-unit effects for the rows of a new frame."""
-        X = f.numeric_matrix(self.features)
-        if self.learner == "S":
-            mu = self.models["mu"]
-            if self.base.kind == "linear":
-                return np.full(X.shape[0], mu.coefficient(self.treatment))
-            ones = np.ones((X.shape[0], 1))
-            x1 = np.column_stack([X, ones])
-            x0 = np.column_stack([X, np.zeros((X.shape[0], 1))])
-            return mu.predict(x1) - mu.predict(x0)
-        if self.learner == "T":
-            return self.models["mu1"].predict(X) - self.models["mu0"].predict(X)
-        if self.learner == "X":
-            g = self.propensity.scores(f)
-            return g * self.models["tau0"].predict(X) + (1.0 - g) * self.models["tau1"].predict(X)
-        return self.models["tau"].predict(X)
+        return EFFECTS[self.learner](self, f, f.numeric_matrix(self.features))
 
     def write_ite_csv(self, path: str | Path) -> None:
         """Dump the in-sample effects as ``row,ite`` lines."""
@@ -67,6 +53,45 @@ class CateModel:
             fh.write("row,ite\n")
             for i, v in enumerate(self.ite):
                 fh.write(f"{i},{float(v)!r}\n")
+
+
+def _s_effect(cate: CateModel, f: Frame, X: np.ndarray) -> np.ndarray:
+    # With a linear base the arm difference is identically the treatment
+    # coefficient, so it is read off directly instead of differencing two
+    # predictions (same value without the per-row rounding residue).
+    mu = cate.models["mu"]
+    if cate.base.kind == "linear":
+        return np.full(X.shape[0], mu.coefficient(cate.treatment))
+    ones = np.ones((X.shape[0], 1))
+    treated = mu.predict(np.column_stack([X, ones]))
+    return treated - mu.predict(np.column_stack([X, np.zeros_like(ones)]))
+
+
+def _x_effect(cate: CateModel, f: Frame, X: np.ndarray) -> np.ndarray:
+    g = cate.propensity.scores(f)
+    return g * cate.models["tau0"].predict(X) + (1.0 - g) * cate.models["tau1"].predict(X)
+
+
+# Learner name -> its effect function (cate, frame, X) -> tau-hat, where X is
+# the frame's feature matrix.  Both ``predict_ite`` and each learner's
+# in-sample ``ite`` (through ``_cate_model``) call it, so each effect formula
+# is written once.  Entries reach the sub-models' ``predict`` when called, so
+# a wrapper patched over ``FittedModel.predict`` sees every prediction; the
+# learners call the entry directly, not predict_ite, so a wrapper over
+# predict_ite (as perfbench's tracer has) sees out-of-sample prediction only.
+EFFECTS = {
+    "S": _s_effect,
+    "T": lambda cate, f, X: cate.models["mu1"].predict(X) - cate.models["mu0"].predict(X),
+    "X": _x_effect,
+    "R": lambda cate, f, X: cate.models["tau"].predict(X),
+}
+
+
+def _cate_model(learner, base, f, X, z, t, models, pm=None) -> CateModel:
+    """The fitted model, its ``ite`` from the learner's effect function on ``f``."""
+    cate = CateModel(learner, base, np.empty(0), 0.0, tuple(z), t, models, pm)
+    ite = EFFECTS[learner](cate, f, X)
+    return replace(cate, ite=ite, ate=float(np.mean(ite)))
 
 
 def _setup(f: Frame, t: str, y: str, z: Sequence[str], base: LearnerSpec):
@@ -83,31 +108,10 @@ def _setup(f: Frame, t: str, y: str, z: Sequence[str], base: LearnerSpec):
 def s_learner(
     f: Frame, t: str, y: str, z: Sequence[str], base: LearnerSpec
 ) -> CateModel:
-    """Single-model learner: fit mu(x, t) and difference the two treatment arms.
-
-    With a linear base the arm difference is identically the treatment
-    coefficient, so it is read off directly instead of differencing two
-    predictions (same value without the per-row rounding residue).
-    """
+    """Single-model learner: fit mu(x, t) and difference the two treatment arms."""
     tv, yv, X = _setup(f, t, y, z, base)
-    names = (*z, t)
-    mu = fit_learner(base, np.column_stack([X, tv]), yv, feature_names=names)
-    if base.kind == "linear":
-        ite = np.full(X.shape[0], mu.coefficient(t))
-    else:
-        ones = np.ones((X.shape[0], 1))
-        ite = mu.predict(np.column_stack([X, ones])) - mu.predict(
-            np.column_stack([X, np.zeros_like(ones)])
-        )
-    return CateModel(
-        learner="S",
-        base=base,
-        ite=ite,
-        ate=float(np.mean(ite)),
-        features=tuple(z),
-        treatment=t,
-        models={"mu": mu},
-    )
+    mu = fit_learner(base, np.column_stack([X, tv]), yv, feature_names=(*z, t))
+    return _cate_model("S", base, f, X, z, t, {"mu": mu})
 
 
 def t_learner(
@@ -118,16 +122,7 @@ def t_learner(
     treated = tv == 1.0
     mu1 = fit_learner(base, X[treated], yv[treated], feature_names=z)
     mu0 = fit_learner(base, X[~treated], yv[~treated], feature_names=z)
-    ite = mu1.predict(X) - mu0.predict(X)
-    return CateModel(
-        learner="T",
-        base=base,
-        ite=ite,
-        ate=float(np.mean(ite)),
-        features=tuple(z),
-        treatment=t,
-        models={"mu0": mu0, "mu1": mu1},
-    )
+    return _cate_model("T", base, f, X, z, t, {"mu0": mu0, "mu1": mu1})
 
 
 def x_learner(
@@ -167,18 +162,8 @@ def x_learner(
     d0 = mu1.predict(X[~treated]) - yv[~treated]
     tau1 = fit_learner(base, X[treated], d1, feature_names=z)
     tau0 = fit_learner(base, X[~treated], d0, feature_names=z)
-    g = pm.scores(f)
-    ite = g * tau0.predict(X) + (1.0 - g) * tau1.predict(X)
-    return CateModel(
-        learner="X",
-        base=base,
-        ite=ite,
-        ate=float(np.mean(ite)),
-        features=tuple(z),
-        treatment=t,
-        models={"mu0": mu0, "mu1": mu1, "tau0": tau0, "tau1": tau1},
-        propensity=pm,
-    )
+    models = {"mu0": mu0, "mu1": mu1, "tau0": tau0, "tau1": tau1}
+    return _cate_model("X", base, f, X, z, t, models, pm)
 
 
 def r_learner(
@@ -198,14 +183,4 @@ def r_learner(
     pseudo = y_res / t_res
     weights = t_res**2
     tau = fit_learner(base, X, pseudo, w=weights, feature_names=z)
-    ite = tau.predict(X)
-    return CateModel(
-        learner="R",
-        base=base,
-        ite=ite,
-        ate=float(np.mean(ite)),
-        features=tuple(z),
-        treatment=t,
-        models={"m": m, "tau": tau},
-        propensity=pm,
-    )
+    return _cate_model("R", base, f, X, z, t, {"m": m, "tau": tau}, pm)

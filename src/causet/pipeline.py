@@ -56,14 +56,39 @@ from .rng import derive_seed
 
 REPORT_VERSION = 1
 
-ESTIMATOR_NAMES = ("regression_adjustment", "psm", "ipw", "stratification")
-REFUTER_NAMES = (
-    "random_common_cause",
-    "placebo_treatment",
-    "data_subset",
-    "unobserved_confounder",
-)
-LEARNER_NAMES = ("S", "T", "X", "R")
+# Estimator name -> fn(frame, spec, z, pm) -> EffectEstimate, where ``pm`` is
+# the propensity model fitted on ``frame`` over ``z`` (None for the methods in
+# NO_PROPENSITY).  Entries look the estimators up by module name when called,
+# so a wrapper patched over ``pipeline.psm_att`` (as perfbench's tracer does)
+# sees every call; a function object captured here would bypass it.
+ESTIMATORS = {
+    "regression_adjustment":
+        lambda f, spec, z, pm: regression_adjustment(f, spec.treatment, spec.outcome, z),
+    "psm": lambda f, spec, z, pm: psm_att(f, spec.treatment, spec.outcome, z, pm),
+    "ipw": lambda f, spec, z, pm: ipw_ate(f, spec.treatment, spec.outcome, pm),
+    "stratification":
+        lambda f, spec, z, pm: stratified_ate(f, spec.treatment, spec.outcome, pm, k=spec.strata),
+}
+# Refuter name -> fn(task, frame, spec, seed) -> RefutationReport, where
+# ``task`` re-runs the target estimator.  Looked up by name when called, for
+# the same reason as ESTIMATORS.
+REFUTERS = {
+    "random_common_cause": lambda task, f, spec, seed: refute_random_common_cause(
+        task, f, spec.refuter_repetitions, seed),
+    "placebo_treatment": lambda task, f, spec, seed: refute_placebo(
+        task, f, spec.refuter_repetitions, seed),
+    "data_subset": lambda task, f, spec, seed: refute_subset(
+        task, f, spec.subset_fraction, spec.refuter_repetitions, seed),
+    "unobserved_confounder": lambda task, f, spec, seed: refute_unobserved_confounder(
+        task, f, spec.confounder_strength_t, spec.confounder_strength_y,
+        spec.refuter_repetitions, seed),
+}
+# Estimators and meta-learners that use no propensity model.
+NO_PROPENSITY = frozenset({"regression_adjustment", "S", "T"})
+
+ESTIMATOR_NAMES = tuple(ESTIMATORS)
+REFUTER_NAMES = tuple(REFUTERS)
+LEARNER_NAMES = tuple(metalearners.EFFECTS)
 BASE_NAMES = ("linear", "gbt")
 VALIDATION_COMBOS = tuple(
     (learner, base) for learner in LEARNER_NAMES for base in BASE_NAMES
@@ -283,20 +308,21 @@ def _fit_metalearner(learner, base_spec, frame, t, y, z, pm, t_fits):
     return metalearners.x_learner(frame, t, y, z, base_spec, pm, t_fits[base_spec])
 
 
-def _estimator_task(method: str, spec: QuerySpec) -> EstimationTask:
-    t, y = spec.treatment, spec.outcome
+def _propensity(frame: Frame, spec: QuerySpec, z: Sequence[str], methods: Sequence[str]):
+    """The propensity model when any of ``methods`` uses one, else None."""
+    if all(m in NO_PROPENSITY for m in methods):
+        return None
+    return fit_propensity(frame, spec.treatment, z, clip=spec.propensity_clip)
+
+
+def _estimator_task(method: str, spec: QuerySpec, z: tuple[str, ...]) -> EstimationTask:
+    """``method`` adjusting for ``z``; each run refits the propensity model on its frame."""
 
     def run(frame: Frame, z: tuple[str, ...]) -> float:
-        if method == "regression_adjustment":
-            return regression_adjustment(frame, t, y, z).value
-        pm = fit_propensity(frame, t, z, clip=spec.propensity_clip)
-        if method == "psm":
-            return psm_att(frame, t, y, z, pm).value
-        if method == "ipw":
-            return ipw_ate(frame, t, y, pm).value
-        return stratified_ate(frame, t, y, pm, k=spec.strata).value
+        return ESTIMATORS[method](frame, spec, z, _propensity(frame, spec, z, (method,))).value
 
-    return EstimationTask(estimate=run, treatment=t, outcome=y, adjustment=())
+    return EstimationTask(estimate=run, treatment=spec.treatment, outcome=spec.outcome,
+                          adjustment=z)
 
 
 def run_query(spec: QuerySpec, out_dir: str | Path | None = None) -> dict:
@@ -327,9 +353,7 @@ def run_query(spec: QuerySpec, out_dir: str | Path | None = None) -> dict:
     controls = yv[tv == 0.0]
     control_mean = float(controls.mean()) if controls.size else None
 
-    needs_pm = any(m in spec.estimators for m in ("psm", "ipw", "stratification"))
-    needs_pm = needs_pm or any(l in ("X", "R") for l, _ in spec.metalearners)
-    pm = fit_propensity(f, t, z, clip=spec.propensity_clip) if needs_pm else None
+    pm = _propensity(f, spec, z, (*spec.estimators, *(l for l, _ in spec.metalearners)))
 
     effects = []
     ite_files: dict[str, str] = {}
@@ -338,15 +362,7 @@ def run_query(spec: QuerySpec, out_dir: str | Path | None = None) -> dict:
         out.mkdir(parents=True, exist_ok=True)
 
     for method in spec.estimators:
-        if method == "regression_adjustment":
-            est = regression_adjustment(f, t, y, z)
-        elif method == "psm":
-            est = psm_att(f, t, y, z, pm)
-        elif method == "ipw":
-            est = ipw_ate(f, t, y, pm)
-        else:
-            est = stratified_ate(f, t, y, pm, k=spec.strata)
-        effects.append(_effect_row(est, control_mean))
+        effects.append(_effect_row(ESTIMATORS[method](f, spec, z, pm), control_mean))
 
     t_fits: dict = {}
     for learner, base in spec.metalearners:
@@ -375,24 +391,9 @@ def run_query(spec: QuerySpec, out_dir: str | Path | None = None) -> dict:
         if not spec.estimators:
             raise ParseError("refuters need at least one selected estimator to target")
         target = spec.estimators[0]
-        task = dataclasses.replace(_estimator_task(target, spec), adjustment=z)
+        task = _estimator_task(target, spec, z)
         for index, refuter in enumerate(spec.refuters):
-            rseed = derive_seed(spec.seed, index)
-            if refuter == "random_common_cause":
-                rep = refute_random_common_cause(task, f, spec.refuter_repetitions, rseed)
-            elif refuter == "placebo_treatment":
-                rep = refute_placebo(task, f, spec.refuter_repetitions, rseed)
-            elif refuter == "data_subset":
-                rep = refute_subset(task, f, spec.subset_fraction, spec.refuter_repetitions, rseed)
-            else:
-                rep = refute_unobserved_confounder(
-                    task,
-                    f,
-                    spec.confounder_strength_t,
-                    spec.confounder_strength_y,
-                    spec.refuter_repetitions,
-                    rseed,
-                )
+            rep = REFUTERS[refuter](task, f, spec, derive_seed(spec.seed, index))
             refutations.append(
                 {
                     "refuter": rep.refuter,

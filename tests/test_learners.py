@@ -265,6 +265,21 @@ class TestGrowTree:
                     splits += int((tree.feature >= 0).sum())
         assert splits > 1000
 
+    def test_nan_rows_take_the_growth_route(self):
+        # x <= threshold is false for NaN, so growth sends a NaN row right;
+        # predict must send it right too.
+        X = np.array([[0.0], [1.0], [2.0], [3.0], [np.nan], [np.nan]])
+        y = np.array([0.0, 0.0, 5.0, 5.0, 5.0, 5.0])
+        XT = np.ascontiguousarray(X.T)
+        orders = np.argsort(XT, axis=1, kind="stable")
+        tree, fitted = _grow_tree(XT, y, np.ones(6), 1, orders, 0.0, 1)
+        assert fitted.tolist() == [0.0, 0.0, 5.0, 5.0, 5.0, 5.0]
+        assert fitted.tobytes() == tree.predict(X).tobytes()
+        spec = LearnerSpec("gbt", max_iterations=1, learning_rate=1.0, max_depth=1,
+                           leaf_penalty=0.0, min_leaf=1)
+        model = fit_gbt(X, y, spec=spec)
+        assert model.predict(X) == pytest.approx([0.0, 0.0, 5.0, 5.0, 5.0, 5.0])
+
 
 def _pinned_fits():
     rng = make_rng(2024)

@@ -280,3 +280,20 @@ class TestSharedInvariants:
         pm = fit_propensity(f, "t", ())
         for name, cate in self.fit_all(f, pm).items():
             assert cate.ite == pytest.approx(np.full(120, 1.25), abs=1e-6), name
+
+    def test_ite_is_predict_ite_on_the_fitting_frame(self):
+        # predict_ite and the in-sample ite share one effect function per
+        # learner, so on the fitting frame they agree bit for bit.
+        dataset = generate(n=300, sigma=1.0, seed=31)
+        f, z = dataset.to_frame(), dataset.feature_names
+        pm = fit_propensity(f, "w", z)
+        gbt = LearnerSpec("gbt", max_iterations=5)
+        for base in (LINEAR, gbt):
+            fits = {
+                "S": s_learner(f, "w", "y", z, base),
+                "T": t_learner(f, "w", "y", z, base),
+                "X": x_learner(f, "w", "y", z, base, pm),
+                "R": r_learner(f, "w", "y", z, base, pm),
+            }
+            for name, cate in fits.items():
+                assert cate.predict_ite(f).tobytes() == cate.ite.tobytes(), (name, base.kind)

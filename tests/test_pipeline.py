@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from causet import pipeline
 from causet.errors import NotIdentifiableError, ParseError, SchemaMismatchError
 from causet.frame import write_csv
 from causet.pipeline import (
@@ -171,6 +172,73 @@ class TestRunQuery:
                    for r in rep["refutations"])
         assert all(r["repetitions"] == 5 for r in rep["refutations"])
         assert (tmp_path / "refutations.csv").exists()
+
+
+def count_calls(monkeypatch, name):
+    """Wrap ``pipeline.<name>`` in a counting wrapper; return the call list."""
+    calls = []
+    original = getattr(pipeline, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, name, wrapper)
+    return calls
+
+
+class TestDispatchTables:
+    """The tables look functions up by module name when called, and the
+    propensity model is fitted once per query and once per refuted frame."""
+
+    def spec(self, query_dir, **changes):
+        spec = parse_query_spec(query_dir / "query.spec")
+        return dataclasses.replace(spec, **{"metalearners": (), **changes})
+
+    @pytest.mark.parametrize("method, name", [
+        ("regression_adjustment", "regression_adjustment"),
+        ("psm", "psm_att"),
+        ("ipw", "ipw_ate"),
+        ("stratification", "stratified_ate"),
+    ])
+    def test_estimators_called_by_module_name(self, query_dir, monkeypatch, method, name):
+        calls = count_calls(monkeypatch, name)
+        run_query(self.spec(query_dir, estimators=(method,)))
+        assert calls == [name]
+
+    @pytest.mark.parametrize("refuter, name", [
+        ("random_common_cause", "refute_random_common_cause"),
+        ("placebo_treatment", "refute_placebo"),
+        ("data_subset", "refute_subset"),
+        ("unobserved_confounder", "refute_unobserved_confounder"),
+    ])
+    def test_refuters_called_by_module_name(self, query_dir, monkeypatch, refuter, name):
+        calls = count_calls(monkeypatch, name)
+        spec = self.spec(query_dir, estimators=("regression_adjustment",),
+                         refuters=(refuter,), refuter_repetitions=2)
+        run_query(spec)
+        assert calls == [name]
+
+    def test_one_propensity_fit_shared_by_query(self, query_dir, monkeypatch):
+        fits = count_calls(monkeypatch, "fit_propensity")
+        run_query(self.spec(query_dir, estimators=("psm", "ipw"),
+                            metalearners=(("X", "linear"),)))
+        assert len(fits) == 1
+
+    def test_no_propensity_fit_when_unused(self, query_dir, monkeypatch):
+        fits = count_calls(monkeypatch, "fit_propensity")
+        run_query(self.spec(query_dir, estimators=("regression_adjustment",),
+                            metalearners=(("S", "linear"), ("T", "linear"))))
+        assert fits == []
+
+    def test_refuter_refits_propensity_per_frame(self, query_dir, monkeypatch):
+        fits = count_calls(monkeypatch, "fit_propensity")
+        matches = count_calls(monkeypatch, "psm_att")
+        reps = 3
+        run_query(self.spec(query_dir, estimators=("psm",), refuters=("placebo_treatment",),
+                            refuter_repetitions=reps))
+        # the query's own estimate, then the refuter's original and one per repetition
+        assert len(fits) == len(matches) == 1 + 1 + reps
 
 
 class TestLabelRulePipeline:
