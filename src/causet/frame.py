@@ -197,12 +197,7 @@ class Frame:
             arr = np.asarray(vals)
             kind = (kinds or {}).get(name)
             if kind is None:
-                if arr.dtype.kind in "OU":
-                    kind = "categorical"
-                else:
-                    farr = arr.astype(float)
-                    finite = farr[np.isfinite(farr)]
-                    kind = "binary" if np.all((finite == 0) | (finite == 1)) else "numeric"
+                kind = "categorical" if arr.dtype.kind in "OU" else _kind_of(arr.astype(float))
             if kind == "categorical":
                 missing = np.array([str(v) == "" for v in arr])
             else:
@@ -234,49 +229,50 @@ class Frame:
 # -- CSV ---------------------------------------------------------------------
 
 
-def _infer_kind(cells: list[str]) -> str:
-    present = [c for c in cells if c != ""]
-    if not present:
-        return "numeric"
-    parsed = []
-    for c in present:
-        try:
-            parsed.append(float(c))
-        except ValueError:
-            return "categorical"
-    finite = [v for v in parsed if math.isfinite(v)]
-    if finite and all(v in (0.0, 1.0) for v in finite):
+def _off_01(values: np.ndarray) -> np.ndarray:
+    """Mask of the finite values that are neither 0 nor 1."""
+    return np.isfinite(values) & (values != 0.0) & (values != 1.0)
+
+
+def _kind_of(values: np.ndarray) -> str:
+    """Kind of a parsed float column: binary when it has finite values and
+    all of them are 0 or 1, numeric otherwise (also when none is finite)."""
+    if np.isfinite(values).any() and not _off_01(values).any():
         return "binary"
     return "numeric"
 
 
-def _parse_cells(name: str, kind: str, cells: list[str]) -> Column:
-    if kind == "categorical":
-        missing = np.array([c == "" for c in cells])
-        return Column(name, "categorical", np.array(cells, dtype=object), missing)
-    values = np.empty(len(cells))
-    missing = np.zeros(len(cells), dtype=bool)
-    for i, c in enumerate(cells):
-        if c == "":
-            values[i] = np.nan
-            missing[i] = True
-            continue
+def _float_column(name: str, kind: str | None, cells: list[str]) -> Column | None:
+    """A numeric or binary column from its cells, blank ones given as
+    ``"nan"``; ``kind`` None infers it, and gives None when a cell does not
+    parse (the column is categorical).  Each cell goes through ``float()``
+    once."""
+    try:
+        values = np.fromiter(map(float, cells), dtype=float, count=len(cells))
+    except ValueError:
+        if kind is None:
+            return None
+        _raise_first_bad_cell(name, kind, cells)
+    kind = kind or _kind_of(values)
+    if kind == "binary" and _off_01(values).any():
+        _raise_first_bad_cell(name, kind, cells)
+    return Column(name, kind, values, ~np.isfinite(values))
+
+
+def _raise_first_bad_cell(name: str, kind: str, cells: list[str]) -> None:
+    """Raise for the first cell, in row order, that does not parse or, in a
+    binary column, is finite and neither 0 nor 1."""
+    for c in cells:
         try:
             v = float(c)
         except ValueError:
             raise TypeConflictError(
                 f"column {name!r} declared {kind} but cell {c!r} is not numeric"
             ) from None
-        if not math.isfinite(v):
-            values[i] = np.nan
-            missing[i] = True
-            continue
-        if kind == "binary" and v not in (0.0, 1.0):
+        if kind == "binary" and math.isfinite(v) and v not in (0.0, 1.0):
             raise TypeConflictError(
                 f"column {name!r} declared binary but cell {c!r} is not 0/1"
             )
-        values[i] = v
-    return Column(name, kind, values, missing)
 
 
 def load_csv(path: str | Path, schema: Mapping[str, str] | None = None) -> Frame:
@@ -284,7 +280,11 @@ def load_csv(path: str | Path, schema: Mapping[str, str] | None = None) -> Frame
 
     Column kinds come from ``schema`` where given and are inferred otherwise:
     all-numeric columns become numeric, {0, 1} columns binary, anything else
-    categorical.  Empty cells are missing.
+    categorical.  Empty cells are missing, and so are non-finite numbers.
+    Each column is extracted from the rows on its own, and each of its cells
+    is parsed with one ``float()``, an empty one as ``"nan"``; the kind is
+    inferred from the parsed values.  An error names the first offending
+    cell in row order.
     """
     if schema:
         for name, kind in schema.items():
@@ -306,11 +306,15 @@ def load_csv(path: str | Path, schema: Mapping[str, str] | None = None) -> Frame
             )
     columns = []
     for j, name in enumerate(header):
-        cells = [row[j] for row in body]
         kind = schema.get(name) if schema else None
-        if kind is None:
-            kind = _infer_kind(cells)
-        columns.append(_parse_cells(name, kind, cells))
+        col = None
+        if kind != "categorical":
+            col = _float_column(name, kind, [row[j] or "nan" for row in body])
+        if col is None:
+            cells = [row[j] for row in body]
+            missing = np.array([c == "" for c in cells], dtype=bool)
+            col = Column(name, "categorical", np.array(cells, dtype=object), missing)
+        columns.append(col)
     return Frame(columns)
 
 

@@ -243,6 +243,35 @@ def serialize_graph(g: CausalGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _moral_graph(g: CausalGraph, nodes: frozenset[str]) -> dict[str, set[str]]:
+    """Undirected moral graph of ``g`` restricted to ``nodes``: every edge
+    between two of them loses its direction, and co-parents are married."""
+    neighbors: dict[str, set[str]] = {n: set() for n in nodes}
+    for n in nodes:
+        ps = [p for p in g.parents(n) if p in nodes]
+        for p in ps:
+            neighbors[n].add(p)
+            neighbors[p].add(n)
+        for p, q in itertools.combinations(ps, 2):
+            neighbors[p].add(q)
+            neighbors[q].add(p)
+    return neighbors
+
+
+def _component(
+    neighbors: Mapping[str, set[str]], start: str, removed: frozenset[str] | set[str]
+) -> set[str]:
+    """Nodes reachable from ``start`` without entering ``removed``."""
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        for m in neighbors[queue.popleft()]:
+            if m not in seen and m not in removed:
+                seen.add(m)
+                queue.append(m)
+    return seen
+
+
 def d_separated(g: CausalGraph, a: str, b: str, z: Iterable[str] = ()) -> bool:
     """True iff every path between ``a`` and ``b`` is blocked by ``z``.
 
@@ -260,41 +289,28 @@ def d_separated(g: CausalGraph, a: str, b: str, z: Iterable[str] = ()) -> bool:
     if a in zset or b in zset:
         raise ValueError("endpoints may not appear in the conditioning set")
 
-    relevant = g.ancestral_closure({a, b} | zset)
-    neighbors: dict[str, set[str]] = {n: set() for n in relevant}
-    for u, v in g.edges:
-        if u in relevant and v in relevant:
-            neighbors[u].add(v)
-            neighbors[v].add(u)
-    for n in relevant:
-        ps = [p for p in g.parents(n) if p in relevant]
-        for p, q in itertools.combinations(ps, 2):
-            neighbors[p].add(q)
-            neighbors[q].add(p)
-
-    seen = {a}
-    queue = deque([a])
-    while queue:
-        n = queue.popleft()
-        for m in neighbors[n]:
-            if m == b:
-                return False
-            if m not in seen and m not in zset:
-                seen.add(m)
-                queue.append(m)
-    return True
+    neighbors = _moral_graph(g, g.ancestral_closure({a, b} | zset))
+    return b not in _component(neighbors, a, zset)
 
 
-def backdoor_sets(
-    g: CausalGraph, t: str, y: str, max_size: int = 8
-) -> list[tuple[str, ...]]:
+def backdoor_sets(g: CausalGraph, t: str, y: str) -> list[tuple[str, ...]]:
     """All minimal backdoor adjustment sets for the effect of ``t`` on ``y``.
 
     A valid set contains no descendant of ``t`` and no unobserved node, and
     d-separates ``t`` from ``y`` once the edges out of ``t`` are deleted.
-    Candidate subsets are enumerated in increasing cardinality up to
-    ``max_size``; supersets of already-found sets are skipped, so the result
-    is exactly the minimal valid sets, ordered by size then lexicographically.
+    The result is exactly the minimal valid sets, ordered by size then
+    lexicographically, with no cap on their size.
+
+    Minimal valid sets lie in the ancestors of ``{t, y}`` in the trimmed
+    graph (Tian, Paz & Pearl 1998), where d-separation is vertex separation
+    in the moral graph.  So they are the minimal ``t``-``y`` vertex
+    separators of that moral graph that hold only allowed nodes, which are
+    listed by closure (Kloks & Kratsch 1998; Berry et al. 1999; van der
+    Zander, Liśkiewicz & Textor 2019): each separator found is extended by
+    one of its nodes to the ``t`` side and closed again, and a forbidden
+    node met on a separator is moved to the ``t`` side.  The cost is
+    polynomial per minimal set, but there can be exponentially many of
+    them: k disjoint two-node backdoor paths give 2^k sets.
 
     Raises :class:`NotIdentifiableError` when no subset of observed
     non-descendants blocks every backdoor path.
@@ -306,17 +322,33 @@ def backdoor_sets(
 
     trimmed = g.without_outgoing(t)
     forbidden = g.descendants(t) | {t, y} | g.unobserved
-    candidates = sorted(set(g.nodes) - forbidden)
+    h = _moral_graph(trimmed, trimmed.ancestral_closure({t, y}))
 
-    minimal: list[tuple[str, ...]] = []
-    for size in range(min(max_size, len(candidates)) + 1):
-        for combo in itertools.combinations(candidates, size):
-            cset = set(combo)
-            if any(set(m) <= cset for m in minimal):
-                continue
-            if d_separated(trimmed, t, y, combo):
-                minimal.append(combo)
-    if not minimal:
+    def close(a: set[str]) -> tuple[frozenset[str], set[str]] | None:
+        # The minimal separator with no forbidden node that lies nearest
+        # to the connected set ``a`` (which holds t), and its t-side
+        # component; None when y is next to ``a``.
+        while True:
+            na = a.union(*(h[n] for n in a))
+            if y in na:
+                return None
+            c_y = _component(h, y, na)
+            s = {m for n in c_y for m in h[n]} - c_y
+            bad = s & forbidden
+            if not bad:
+                return frozenset(s), _component(h, t, s)
+            a = a | bad
+
+    found: set[frozenset[str]] = set()
+    stack = [close({t})]
+    while stack:
+        closed = stack.pop()
+        if closed is None or closed[0] in found:
+            continue
+        s, c_t = closed
+        found.add(s)
+        stack.extend(close(c_t | {x}) for x in s)
+    if not found:
         culprits = sorted(
             u
             for u in g.unobserved
@@ -326,4 +358,4 @@ def backdoor_sets(
             f"no observed set blocks every backdoor path from {t!r} to {y!r}"
             + (f"; unobserved common causes: {culprits}" if culprits else "")
         )
-    return minimal
+    return sorted((tuple(sorted(s)) for s in found), key=lambda s: (len(s), s))

@@ -7,10 +7,14 @@ least-squares solves, naive loops instead of vectorized prefix sums.
 
 from __future__ import annotations
 
+import csv
 import itertools
+import math
 
 import numpy as np
 
+from causet.errors import IoError, KindError, RaggedRowError, TypeConflictError
+from causet.frame import KINDS, Column, Frame
 from causet.graph import CausalGraph
 from causet.learners import _SPLIT_TOL, _Tree
 
@@ -60,13 +64,13 @@ def dsep_bruteforce(g: CausalGraph, a: str, b: str, z) -> bool:
     return True
 
 
-def backdoor_bruteforce(g: CausalGraph, t: str, y: str, max_size: int = 8):
+def backdoor_bruteforce(g: CausalGraph, t: str, y: str):
     """Minimal valid adjustment sets by brute force over all subsets."""
     trimmed = g.without_outgoing(t)
     forbidden = g.descendants(t) | {t, y} | g.unobserved
     candidates = sorted(set(g.nodes) - forbidden)
     valid = []
-    for size in range(min(max_size, len(candidates)) + 1):
+    for size in range(len(candidates) + 1):
         for combo in itertools.combinations(candidates, size):
             if dsep_bruteforce(trimmed, t, y, combo):
                 valid.append(combo)
@@ -100,6 +104,90 @@ def enumerate_labeled_dags(n: int):
             yield names, CausalGraph({m: "covariate" for m in names}, edges)
         except Exception:
             continue
+
+
+# -- CSV loading ----------------------------------------------------------------
+
+
+def _infer_kind(cells: list[str]) -> str:
+    present = [c for c in cells if c != ""]
+    if not present:
+        return "numeric"
+    parsed = []
+    for c in present:
+        try:
+            parsed.append(float(c))
+        except ValueError:
+            return "categorical"
+    finite = [v for v in parsed if math.isfinite(v)]
+    if finite and all(v in (0.0, 1.0) for v in finite):
+        return "binary"
+    return "numeric"
+
+
+def _parse_cells(name: str, kind: str, cells: list[str]) -> Column:
+    if kind == "categorical":
+        missing = np.array([c == "" for c in cells])
+        return Column(name, "categorical", np.array(cells, dtype=object), missing)
+    values = np.empty(len(cells))
+    missing = np.zeros(len(cells), dtype=bool)
+    for i, c in enumerate(cells):
+        if c == "":
+            values[i] = np.nan
+            missing[i] = True
+            continue
+        try:
+            v = float(c)
+        except ValueError:
+            raise TypeConflictError(
+                f"column {name!r} declared {kind} but cell {c!r} is not numeric"
+            ) from None
+        if not math.isfinite(v):
+            values[i] = np.nan
+            missing[i] = True
+            continue
+        if kind == "binary" and v not in (0.0, 1.0):
+            raise TypeConflictError(
+                f"column {name!r} declared binary but cell {c!r} is not 0/1"
+            )
+        values[i] = v
+    return Column(name, kind, values, missing)
+
+
+def load_csv_two_pass(path, schema=None) -> Frame:
+    """Load a CSV file into a frame: the former library loader, verbatim,
+    which infers a column's kind from its cells and then parses them again.
+
+    Column kinds come from ``schema`` where given and are inferred otherwise:
+    all-numeric columns become numeric, {0, 1} columns binary, anything else
+    categorical.  Empty cells are missing.
+    """
+    if schema:
+        for name, kind in schema.items():
+            if kind not in KINDS:
+                raise KindError(f"schema kind {kind!r} for column {name!r} is unknown")
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            rows = list(reader)
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+    if not rows:
+        raise IoError(f"{path}: empty file, header row required")
+    header, body = rows[0], rows[1:]
+    for i, row in enumerate(body, start=2):
+        if len(row) != len(header):
+            raise RaggedRowError(
+                f"{path}: row {i} has {len(row)} fields, header has {len(header)}"
+            )
+    columns = []
+    for j, name in enumerate(header):
+        cells = [row[j] for row in body]
+        kind = schema.get(name) if schema else None
+        if kind is None:
+            kind = _infer_kind(cells)
+        columns.append(_parse_cells(name, kind, cells))
+    return Frame(columns)
 
 
 # -- numerics -------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,8 @@ from causet.frame import (
     write_csv,
 )
 from causet.rng import make_rng
+
+from oracles import load_csv_two_pass
 
 
 def frame_of(text, path, schema=None):
@@ -99,6 +103,62 @@ class TestLoadCsv:
         write_csv(f, path)
         kinds = {"v": "numeric", "b": "binary", "c": "categorical"}
         assert load_csv(path, schema=kinds) == f
+
+    def test_roundtrip_all_missing_column_infers_numeric(self, tmp_path):
+        # No finite value gives numeric on both sides of the round trip.
+        f = Frame.from_dict({"x": np.array([np.nan, np.nan]), "y": np.array([1.0, 2.0])})
+        assert f.kind("x") == "numeric"
+        write_csv(f, tmp_path / "out.csv")
+        assert load_csv(tmp_path / "out.csv") == f
+
+    def test_first_offending_cell_names_the_error(self, tmp_path):
+        with pytest.raises(TypeConflictError, match=r"cell '2' is not 0/1"):
+            frame_of("a\n2\nabc\n", tmp_path / "d.csv", schema={"a": "binary"})
+        with pytest.raises(TypeConflictError, match=r"cell 'abc' is not numeric"):
+            frame_of("a\nabc\n2\n", tmp_path / "d.csv", schema={"a": "binary"})
+
+
+CELLS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["", "nan", "inf", "-inf", "-0.0", "0", "1", "1.0", " 1 ", "1_0", "0.5"]),
+    st.text(alphabet="abc 01._-,\"", max_size=4),
+)
+
+
+class TestLoaderOracle:
+    """The one-pass loader against the former two-pass one."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.lists(st.lists(CELLS, min_size=3, max_size=3), min_size=1, max_size=8),
+        schema_kind=st.sampled_from([None, "numeric", "binary", "categorical"]),
+    )
+    def test_same_frame_or_same_error(self, tmp_path_factory, rows, schema_kind):
+        names = [f"c{j}" for j in range(3)]
+        path = tmp_path_factory.mktemp("oracle") / "d.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(names)
+            writer.writerows(rows)
+        schema = None if schema_kind is None else {"c1": schema_kind}
+        outcomes = []
+        for load in (load_csv, load_csv_two_pass):
+            try:
+                outcomes.append(load(path, schema=schema))
+            except TypeConflictError as exc:
+                outcomes.append((type(exc), str(exc)))
+        got, expected = outcomes
+        if isinstance(expected, tuple):
+            assert got == expected
+            return
+        assert got == expected
+        for a, b in zip(got.columns, expected.columns):
+            assert a.kind == b.kind
+            assert a.missing.tobytes() == b.missing.tobytes()
+            if a.kind == "categorical":
+                assert a.values.tolist() == b.values.tolist()
+            else:
+                assert a.values.tobytes() == b.values.tobytes()
 
 
 class TestOneHot:

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -13,6 +14,17 @@ from causet.graph import CausalGraph, backdoor_sets, d_separated, parse_graph, s
 from causet.rng import make_rng
 
 from oracles import backdoor_bruteforce, dsep_bruteforce, enumerate_dags
+
+
+def search_or_none(g, t, y):
+    try:
+        return backdoor_sets(g, t, y)
+    except NotIdentifiableError:
+        return None
+
+
+def expected_or_none(g, t, y):
+    return backdoor_bruteforce(g, t, y) or None
 
 
 def triangle():
@@ -206,15 +218,65 @@ class TestBackdoor:
                 assert d_separated(trimmed, names[0], names[-1], s)
 
     def test_matches_bruteforce_on_canonical_4node_dags(self):
+        # Every pair, with no unobserved node and with each other node unobserved.
         for names, edges in enumerate_dags(4):
             for t, y in itertools.permutations(names, 2):
-                roles = {m: "covariate" for m in names}
-                roles[t] = "treatment"
-                roles[y] = "outcome"
-                g = CausalGraph(roles, edges)
-                try:
-                    got = backdoor_sets(g, t, y)
-                except NotIdentifiableError:
-                    got = None
-                expected = backdoor_bruteforce(g, t, y) or None
-                assert got == expected, (edges, t, y)
+                for u in [None, *(m for m in names if m not in (t, y))]:
+                    roles = {m: "covariate" for m in names}
+                    roles.update({t: "treatment", y: "outcome"})
+                    if u is not None:
+                        roles[u] = "unobserved"
+                    g = CausalGraph(roles, edges)
+                    assert search_or_none(g, t, y) == expected_or_none(g, t, y), (edges, t, y, u)
+
+    def test_matches_bruteforce_on_random_dags_with_unobserved_nodes(self):
+        rng = make_rng(23)
+        for _ in range(300):
+            n = int(rng.integers(6, 9))
+            names = [f"v{i}" for i in range(n)]
+            order = rng.permutation(n)
+            edges = [
+                (names[order[i]], names[order[j]])
+                for i in range(n)
+                for j in range(i + 1, n)
+                if rng.uniform() < 0.4
+            ]
+            ti, yi = (int(i) for i in rng.choice(n, 2, replace=False))
+            roles = {m: "covariate" for m in names}
+            for i in range(n):
+                if rng.uniform() < 0.2:
+                    roles[names[i]] = "unobserved"
+            roles[names[ti]] = "treatment"
+            roles[names[yi]] = "outcome"
+            g = CausalGraph(roles, edges)
+            t, y = names[ti], names[yi]
+            assert search_or_none(g, t, y) == expected_or_none(g, t, y), (edges, roles)
+
+    def test_nine_confounders_need_all_nine(self):
+        xs = [f"x{i}" for i in range(9)]
+        g = parse_graph(
+            "\n".join(f"{x} -> w; {x} -> y" for x in xs) + "\nw -> y\n@treatment w\n@outcome y"
+        )
+        assert backdoor_sets(g, "w", "y") == [tuple(xs)]
+
+    def test_many_outcome_parents_stay_fast(self):
+        # 6 confounders and 14 outcome-only parents: 20 candidate nodes.
+        edges = [f"x{i} -> w" for i in range(6)] + [f"x{i} -> y" for i in range(20)]
+        g = parse_graph("\n".join(edges) + "\nw -> y\n@treatment w\n@outcome y")
+        t0 = time.perf_counter()
+        sets = backdoor_sets(g, "w", "y")
+        assert time.perf_counter() - t0 < 1.0
+        assert sets == [tuple(f"x{i}" for i in range(6))]
+
+    def test_disjoint_two_node_paths_give_every_combination(self):
+        # Path i is w <- a_i -> b_i -> y; either node blocks it.
+        k = 10
+        g = parse_graph(
+            "\n".join(f"a{i} -> w; a{i} -> b{i}; b{i} -> y" for i in range(k))
+            + "\nw -> y\n@treatment w\n@outcome y"
+        )
+        sets = backdoor_sets(g, "w", "y")
+        assert len(sets) == 2**k
+        assert sets == sorted(
+            tuple(sorted(c)) for c in itertools.product(*([f"a{i}", f"b{i}"] for i in range(k)))
+        )
