@@ -194,7 +194,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CausetError as exc:
+    except (CausetError, OSError) as exc:
         block = {"error": {"type": type(exc).__name__, "message": str(exc),
                            "command": args.command}}
         sys.stderr.write(json.dumps(block, indent=2, sort_keys=True) + "\n")

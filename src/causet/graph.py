@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import re
 from collections import deque
-from typing import Iterable, Mapping
+from typing import Container, Iterable, Mapping
 
 from .errors import (
     CycleError,
@@ -142,27 +142,14 @@ class CausalGraph:
 
     def descendants(self, name: str) -> frozenset[str]:
         """All nodes reachable from ``name`` by a directed path (exclusive)."""
-        self.role(name)
-        out: set[str] = set()
-        queue = deque(self._children[name])
-        while queue:
-            n = queue.popleft()
-            if n not in out:
-                out.add(n)
-                queue.extend(self._children[n])
-        return frozenset(out)
+        return frozenset(_component(self._children, self.children(name)))
 
     def ancestral_closure(self, names: Iterable[str]) -> frozenset[str]:
         """The given nodes plus all their ancestors."""
-        out: set[str] = set()
-        queue = deque(names)
-        while queue:
-            n = queue.popleft()
-            if n not in out:
-                self.role(n)
-                out.add(n)
-                queue.extend(self._parents[n])
-        return frozenset(out)
+        names = tuple(names)
+        for n in names:
+            self.role(n)
+        return frozenset(_component(self._parents, names))
 
     def without_outgoing(self, name: str) -> "CausalGraph":
         """Copy of the graph with every edge out of ``name`` removed."""
@@ -259,11 +246,12 @@ def _moral_graph(g: CausalGraph, nodes: frozenset[str]) -> dict[str, set[str]]:
 
 
 def _component(
-    neighbors: Mapping[str, set[str]], start: str, removed: frozenset[str] | set[str]
+    neighbors: Mapping[str, Iterable[str]], starts: Iterable[str], removed: Container[str] = ()
 ) -> set[str]:
-    """Nodes reachable from ``start`` without entering ``removed``."""
-    seen = {start}
-    queue = deque([start])
+    """The ``starts`` and every node reachable from them without entering
+    ``removed``; the one breadth-first walk of this module."""
+    seen = set(starts)
+    queue = deque(seen)
     while queue:
         for m in neighbors[queue.popleft()]:
             if m not in seen and m not in removed:
@@ -290,7 +278,7 @@ def d_separated(g: CausalGraph, a: str, b: str, z: Iterable[str] = ()) -> bool:
         raise ValueError("endpoints may not appear in the conditioning set")
 
     neighbors = _moral_graph(g, g.ancestral_closure({a, b} | zset))
-    return b not in _component(neighbors, a, zset)
+    return b not in _component(neighbors, (a,), zset)
 
 
 def backdoor_sets(g: CausalGraph, t: str, y: str) -> list[tuple[str, ...]]:
@@ -332,11 +320,11 @@ def backdoor_sets(g: CausalGraph, t: str, y: str) -> list[tuple[str, ...]]:
             na = a.union(*(h[n] for n in a))
             if y in na:
                 return None
-            c_y = _component(h, y, na)
+            c_y = _component(h, (y,), na)
             s = {m for n in c_y for m in h[n]} - c_y
             bad = s & forbidden
             if not bad:
-                return frozenset(s), _component(h, t, s)
+                return frozenset(s), _component(h, (t,), s)
             a = a | bad
 
     found: set[frozenset[str]] = set()

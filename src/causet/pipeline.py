@@ -22,12 +22,13 @@ reports.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -246,16 +247,16 @@ def report_to_json(report: Mapping) -> str:
     return json.dumps(_jsonable(dict(report)), indent=2, sort_keys=True) + "\n"
 
 
-def _write_rows_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    def cell(v) -> str:
-        if isinstance(v, float):
-            return repr(v)
-        return str(v)
+def _write_table(path: Path, fields: Sequence[str], rows: Iterable[Mapping]) -> None:
+    """Sidecar CSV of ``fields`` from the report's row dicts.
 
+    A None or missing value is an empty cell and a float is its ``repr``
+    (the shortest round-trip form); other keys of a row are left out.
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(cell(v) for v in row) + "\n")
+        writer = csv.DictWriter(fh, fields, extrasaction="ignore", lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def _effect_row(est: EffectEstimate, control_mean: float | None) -> dict:
@@ -365,22 +366,12 @@ def run_query(spec: QuerySpec, out_dir: str | Path | None = None) -> dict:
         effects.append(_effect_row(ESTIMATORS[method](f, spec, z, pm), control_mean))
 
     t_fits: dict = {}
+    n_treated, n_control = int(tv.sum()), int((1 - tv).sum())
     for learner, base in spec.metalearners:
-        base_spec = LearnerSpec(base)
-        cate = _fit_metalearner(learner, base_spec, f, t, y, z, pm, t_fits)
+        cate = _fit_metalearner(learner, LearnerSpec(base), f, t, y, z, pm, t_fits)
         label = f"{learner}:{base}"
-        effects.append(
-            {
-                "method": label,
-                "estimand": "ATE",
-                "effect": cate.ate,
-                "relative_effect": (cate.ate / control_mean) if control_mean else None,
-                "n_treated": int(tv.sum()),
-                "n_control": int((1 - tv).sum()),
-                "adjustment_set": list(z),
-                "seed": None,
-            }
-        )
+        est = EffectEstimate(label, "ATE", cate.ate, n_treated, n_control, z)
+        effects.append(_effect_row(est, control_mean))
         if out is not None:
             fname = f"ite_{learner}-{base}.csv"
             cate.write_ite_csv(out / fname)
@@ -394,44 +385,22 @@ def run_query(spec: QuerySpec, out_dir: str | Path | None = None) -> dict:
         task = _estimator_task(target, spec, z)
         for index, refuter in enumerate(spec.refuters):
             rep = REFUTERS[refuter](task, f, spec, derive_seed(spec.seed, index))
-            refutations.append(
-                {
-                    "refuter": rep.refuter,
-                    "target_method": target,
-                    "original_effect": rep.original_effect,
-                    "mean_refuted": rep.mean_refuted,
-                    "relative_change": rep.relative_change,
-                    "p_value": rep.p_value,
-                    "repetitions": rep.repetitions,
-                    "seed": rep.seed,
-                    "verdict": rep.verdict,
-                    "verdict_rule": rep.verdict_rule,
-                }
-            )
+            row = {**dataclasses.asdict(rep), "target_method": target}
+            del row["refuted_effects"]
+            refutations.append(row)
 
     plot_files: dict = {}
     if out is not None:
-        _write_rows_csv(
-            out / "effects.csv",
-            ("method", "effect", "relative_effect"),
-            [
-                (row["method"], row["effect"], "" if row["relative_effect"] is None else row["relative_effect"])
-                for row in effects
-            ],
-        )
+        _write_table(out / "effects.csv", ("method", "effect", "relative_effect"), effects)
         plot_files["effects"] = "effects.csv"
         if ite_files:
             plot_files["ite"] = ite_files
         if refutations:
-            _write_rows_csv(
+            _write_table(
                 out / "refutations.csv",
                 ("refuter", "target_method", "original_effect", "mean_refuted",
                  "relative_change", "p_value", "verdict"),
-                [
-                    (r["refuter"], r["target_method"], r["original_effect"], r["mean_refuted"],
-                     r["relative_change"], r["p_value"], r["verdict"])
-                    for r in refutations
-                ],
+                refutations,
             )
             plot_files["refutations"] = "refutations.csv"
 
@@ -520,19 +489,15 @@ def run_validation(
                 }
             )
             if rep == 0 and out is not None:
-                tag = f"{learner}-{base}"
-                _write_rows_csv(
-                    out / f"scatter_{tag}.csv",
-                    ("tau_true", "ite_pred"),
-                    list(zip(tau_val.tolist(), ite_val.tolist())),
-                )
-                _write_rows_csv(
-                    out / f"uplift_{tag}.csv",
-                    ("fraction", "cumulative_gain"),
-                    list(zip(curve.fractions.tolist(), curve.gains.tolist())),
-                )
-                plot_files[f"scatter_{tag}"] = f"scatter_{tag}.csv"
-                plot_files[f"uplift_{tag}"] = f"uplift_{tag}.csv"
+                for name, columns in (
+                    (f"scatter_{learner}-{base}", {"tau_true": tau_val, "ite_pred": ite_val}),
+                    (f"uplift_{learner}-{base}",
+                     {"fraction": curve.fractions, "cumulative_gain": curve.gains}),
+                ):
+                    cells = zip(*(c.tolist() for c in columns.values()))
+                    _write_table(out / f"{name}.csv", tuple(columns),
+                                 (dict(zip(columns, r)) for r in cells))
+                    plot_files[name] = f"{name}.csv"
 
     metrics = ("mse_train", "mse_val", "kld_val", "auuc_val", "ate", "ate_error",
                "scatter_slope", "scatter_intercept")
@@ -549,21 +514,13 @@ def run_validation(
         }
 
     if out is not None:
-        header = ("rep", "learner", "base", *metrics)
-        _write_rows_csv(
-            out / "validation_rows.csv",
-            header,
-            [tuple(r[h] if h in r else "" for h in header) for r in rows],
-        )
+        _write_table(out / "validation_rows.csv", ("rep", "learner", "base", *metrics), rows)
         plot_files["rows"] = "validation_rows.csv"
-        _write_rows_csv(
+        _write_table(
             out / "validation_aggregate.csv",
             ("combo", "metric", "mean", "std"),
-            [
-                (label, m, stats["mean"], stats["std"])
-                for label, per_metric in aggregate.items()
-                for m, stats in per_metric.items()
-            ],
+            ({"combo": label, "metric": m, **stats}
+             for label, per_metric in aggregate.items() for m, stats in per_metric.items()),
         )
         plot_files["aggregate"] = "validation_aggregate.csv"
 

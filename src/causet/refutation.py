@@ -5,10 +5,12 @@ and summarizes how far the estimate moves.  Procedures are described by an
 :class:`EstimationTask` so the refuters can re-fit everything (including
 nuisance models) on each perturbed frame.
 
-Every refuter is deterministic per (seed, repetitions): repetition ``i``
-draws from its own child stream ``derive_seed(seed, i)``.  Refuted effects
-are sorted before any statistic is computed, so aggregation order can never
-change a report.
+All four run through one loop, ``_refute``; each refuter supplies only its
+perturbation and its verdict rule.  Every refuter is deterministic per
+(seed, repetitions): repetition ``i`` draws from its own child stream
+``derive_seed(seed, i)``.  Refuted effects are sorted before any statistic
+or verdict is computed, so aggregation order can never change a report, and
+a verdict always follows from the mean the report shows.
 """
 
 from __future__ import annotations
@@ -99,28 +101,39 @@ def _relative_change(mean_refuted: float, original: float) -> float:
     return abs(mean_refuted - original) / abs(original)
 
 
-def _finish(
-    refuter: str,
-    original: float,
-    effects: list[float],
+def _refute(
+    name: str,
+    task: EstimationTask,
+    f: Frame,
     repetitions: int,
     seed: int,
-    verdict: str,
-    rule: str,
+    perturb: Callable[[np.random.Generator], tuple],
+    judge: Callable[[float, tuple[float, ...], float], tuple[str, str]],
 ) -> RefutationReport:
-    arr = np.sort(np.asarray(effects, dtype=float))
+    """The one refuter loop: the original run, then one perturbed run per repetition.
+
+    Repetition ``i`` calls ``perturb`` with its own stream ``derive_seed(seed,
+    i)``, and ``perturb`` returns the arguments of that ``task.run``.
+    ``judge(original, refuted, mean)`` returns the verdict and its rule from
+    the sorted effects and their mean, the same numbers the report holds.
+    """
+    original = task.run(f)
+    runs = [task.run(*perturb(make_rng(derive_seed(seed, i)))) for i in range(repetitions)]
+    arr = np.sort(np.asarray(runs, dtype=float))
+    refuted = tuple(arr.tolist())
+    mean = float(arr.mean())
+    verdict, rule = judge(original, refuted, mean)
     return RefutationReport(
-        refuter=refuter,
-        original_effect=original,
-        refuted_effects=tuple(float(v) for v in arr),
-        mean_refuted=float(arr.mean()),
-        relative_change=_relative_change(float(arr.mean()), original),
-        p_value=_normal_tail_p(arr, original),
-        repetitions=repetitions,
-        seed=seed,
-        verdict=verdict,
-        verdict_rule=rule,
+        refuter=name, original_effect=original, refuted_effects=refuted, mean_refuted=mean,
+        relative_change=_relative_change(mean, original), p_value=_normal_tail_p(arr, original),
+        repetitions=repetitions, seed=seed, verdict=verdict, verdict_rule=rule,
     )
+
+
+def _stable_judge(original: float, refuted: tuple[float, ...], mean: float) -> tuple[str, str]:
+    """The random-common-cause and data-subset rule."""
+    ok = _relative_change(mean, original) < STABLE_CHANGE
+    return ("pass" if ok else "fail"), f"pass when relative change < {STABLE_CHANGE}"
 
 
 def _fresh_name(f: Frame, stem: str) -> str:
@@ -143,20 +156,14 @@ def refute_random_common_cause(
     The new column is appended to the frame and to the adjustment set for
     every repetition.  A sound estimate should barely move.
     """
-    original = task.run(f)
     n = f.n_rows
-    effects = []
-    for i in range(repetitions):
-        rng = make_rng(derive_seed(seed, i))
-        name = _fresh_name(f, "random_cause")
+    name = _fresh_name(f, "random_cause")
+
+    def perturb(rng):
         col = Column(name, "numeric", rng.standard_normal(n), np.zeros(n, dtype=bool))
-        effects.append(task.run(f.with_column(col), (*task.adjustment, name)))
-    mean_ref = float(np.mean(effects))
-    verdict = "pass" if _relative_change(mean_ref, original) < STABLE_CHANGE else "fail"
-    return _finish(
-        "random_common_cause", original, effects, repetitions, seed, verdict,
-        f"pass when relative change < {STABLE_CHANGE}",
-    )
+        return f.with_column(col), (*task.adjustment, name)
+
+    return _refute("random_common_cause", task, f, repetitions, seed, perturb, _stable_judge)
 
 
 def refute_placebo(
@@ -170,22 +177,20 @@ def refute_placebo(
     The placebo treatment is Bernoulli with the original prevalence, so arm
     sizes stay comparable.  A sound estimate collapses towards zero.
     """
-    original = task.run(f)
-    tv = f.binary_vector(task.treatment)
-    prevalence = float(tv.mean())
+    prevalence = float(f.binary_vector(task.treatment).mean())
     n = f.n_rows
-    effects = []
-    for i in range(repetitions):
-        rng = make_rng(derive_seed(seed, i))
+
+    def perturb(rng):
         placebo = (rng.uniform(size=n) < prevalence).astype(float)
         col = Column(task.treatment, "binary", placebo, np.zeros(n, dtype=bool))
-        effects.append(task.run(f.with_column(col)))
-    mean_ref = float(np.mean(effects))
-    verdict = "pass" if abs(mean_ref) < PLACEBO_RATIO * abs(original) else "fail"
-    return _finish(
-        "placebo_treatment", original, effects, repetitions, seed, verdict,
-        f"pass when |mean refuted| < {PLACEBO_RATIO} * |original|",
-    )
+        return (f.with_column(col),)
+
+    def judge(original, refuted, mean):
+        ok = abs(mean) < PLACEBO_RATIO * abs(original)
+        rule = f"pass when |mean refuted| < {PLACEBO_RATIO} * |original|"
+        return ("pass" if ok else "fail"), rule
+
+    return _refute("placebo_treatment", task, f, repetitions, seed, perturb, judge)
 
 
 def refute_subset(
@@ -201,18 +206,10 @@ def refute_subset(
     n = f.n_rows
     if n == 0:
         raise EmptyFrameError("cannot subsample an empty frame")
-    original = task.run(f)
     m = math.ceil(n * fraction - 1e-9)
-    effects = []
-    for i in range(repetitions):
-        rng = make_rng(derive_seed(seed, i))
-        idx = np.sort(rng.permutation(n)[:m])
-        effects.append(task.run(f.subset_rows(idx)))
-    mean_ref = float(np.mean(effects))
-    verdict = "pass" if _relative_change(mean_ref, original) < STABLE_CHANGE else "fail"
-    return _finish(
-        "data_subset", original, effects, repetitions, seed, verdict,
-        f"pass when relative change < {STABLE_CHANGE}",
+    return _refute(
+        "data_subset", task, f, repetitions, seed,
+        lambda rng: (f.subset_rows(np.sort(rng.permutation(n)[:m])),), _stable_judge,
     )
 
 
@@ -266,23 +263,21 @@ def refute_unobserved_confounder(
     for s in (strength_t, strength_y):
         if not 0.0 <= s < 1.0:
             raise ValueError("strengths must lie in [0, 1)")
-    original = task.run(f)
     tv = f.binary_vector(task.treatment)
     yc = f.column(task.outcome)
     base_p = min(max(float(tv.mean()), 0.05), 0.95)
-    effects = []
-    for i in range(repetitions):
-        rng = make_rng(derive_seed(seed, i))
+
+    def perturb(rng):
         u = _simulate_confounder(rng, tv, strength_t, base_p)
-        perturbed = f
         if strength_y > 0.0:
-            perturbed = f.with_column(
-                Column(task.outcome, "numeric", yc.values + strength_y * u, yc.missing)
-            )
-        effects.append(task.run(perturbed))
-    lo, hi = float(np.min(effects)), float(np.max(effects))
-    return _finish(
-        "unobserved_confounder", original, effects, repetitions, seed, "info",
-        f"induced effect range [{lo!r}, {hi!r}] at strengths "
-        f"({strength_t!r}, {strength_y!r}); informational",
-    )
+            y = yc.values + strength_y * u
+            return (f.with_column(Column(task.outcome, "numeric", y, yc.missing)),)
+        return (f,)
+
+    def judge(original, refuted, mean):
+        return "info", (
+            f"induced effect range [{refuted[0]!r}, {refuted[-1]!r}] at strengths "
+            f"({strength_t!r}, {strength_y!r}); informational"
+        )
+
+    return _refute("unobserved_confounder", task, f, repetitions, seed, perturb, judge)

@@ -81,6 +81,17 @@ def backdoor_bruteforce(g: CausalGraph, t: str, y: str):
     return sorted(minimal, key=lambda s: (len(s), s))
 
 
+def reach_bruteforce(nodes, edges) -> dict[str, set[str]]:
+    """``reach[a]``: every node at the end of a directed path from ``a``
+    (Warshall's transitive closure of the edge list)."""
+    reach = {a: {b for x, b in edges if x == a} for a in nodes}
+    for k in nodes:
+        for a in nodes:
+            if k in reach[a]:
+                reach[a] |= reach[k]
+    return reach
+
+
 def enumerate_dags(n: int):
     """Every DAG on nodes n0..n{n-1} whose labels follow a topological order.
 

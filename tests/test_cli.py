@@ -224,3 +224,26 @@ class TestErrorPaths:
         rc = main(["estimate", str(spec), "--out", str(tmp_path)])
         assert rc == 1
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "ParseError"
+
+
+class TestOsErrors:
+    """A file the command cannot write gives exit 1 and the JSON error block."""
+
+    def error_type(self, capsys) -> str:
+        return json.loads(capsys.readouterr().err)["error"]["type"]
+
+    def test_sidecar_path_is_a_directory(self, workdir, tmp_path, capsys):
+        (tmp_path / "effects.csv").mkdir()
+        assert main(["estimate", str(workdir / "query.spec"), "--out", str(tmp_path)]) == 1
+        assert self.error_type(capsys) == "IsADirectoryError"
+
+    def test_report_path_is_a_directory(self, workdir, tmp_path, capsys):
+        (tmp_path / "report.json").mkdir()
+        assert main(["estimate", str(workdir / "query.spec"), "--out", str(tmp_path)]) == 1
+        assert self.error_type(capsys) == "IsADirectoryError"
+
+    def test_out_below_a_file(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        rc = main(["synth", "--n", "10", "--out", str(tmp_path / "file" / "x")])
+        assert rc == 1
+        assert self.error_type(capsys) == "NotADirectoryError"

@@ -13,7 +13,7 @@ from causet.errors import (
 from causet.graph import CausalGraph, backdoor_sets, d_separated, parse_graph, serialize_graph
 from causet.rng import make_rng
 
-from oracles import backdoor_bruteforce, dsep_bruteforce, enumerate_dags
+from oracles import backdoor_bruteforce, dsep_bruteforce, enumerate_dags, reach_bruteforce
 
 
 def search_or_none(g, t, y):
@@ -108,6 +108,33 @@ class TestParse:
                 roles[names[1]] = "unobserved"
             g = CausalGraph(roles, edges)
             assert parse_graph(serialize_graph(g)) == g
+
+
+class TestReachability:
+    def test_matches_transitive_closure_on_every_5node_dag(self):
+        for names, edges in enumerate_dags(5):
+            g = CausalGraph({n: "covariate" for n in names}, edges)
+            reach = reach_bruteforce(names, edges)
+            for a in names:
+                assert g.descendants(a) == reach[a]
+            for k in range(len(names) + 1):
+                for picked in itertools.combinations(names, k):
+                    expected = set(picked) | {a for a in names if reach[a] & set(picked)}
+                    assert g.ancestral_closure(picked) == expected
+
+    def test_descendants_exclude_the_start(self):
+        g = parse_graph("A -> B; B -> C")
+        assert g.descendants("A") == {"B", "C"}
+        assert g.descendants("C") == frozenset()
+
+    def test_unknown_names_raise(self):
+        g = parse_graph("A -> B")
+        with pytest.raises(UnknownNodeError):
+            g.descendants("missing")
+        with pytest.raises(UnknownNodeError):
+            g.ancestral_closure(["A", "missing"])
+        with pytest.raises(UnknownNodeError):
+            g.ancestral_closure(iter(["missing"]))
 
 
 class TestDSeparation:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -336,3 +337,64 @@ class TestCompare:
         with pytest.warns(UserWarning):
             comparison = compare_report([empty, rep])
         assert len(comparison["rows"]) == 12
+
+
+def _sha256(data) -> str:
+    return hashlib.sha256(data if isinstance(data, bytes) else data.encode()).hexdigest()
+
+
+def _written(out) -> dict:
+    return {p.name: _sha256(p.read_bytes()) for p in sorted(out.iterdir())}
+
+
+class TestReportPins:
+    """sha256 of every report and sidecar file, taken while each effect row,
+    refutation row and sidecar CSV was still built by hand.  The linear fits
+    go through the BLAS, so another platform may move the last bits."""
+
+    def test_query_with_all_refuters(self, query_dir, tmp_path):
+        spec = dataclasses.replace(parse_query_spec(query_dir / "query.spec"),
+                                   refuters=pipeline.REFUTER_NAMES)
+        rep = run_query(spec, out_dir=tmp_path)
+        # the spec's resolved paths name the temporary directory
+        rep = dict(rep, query=dict(rep["query"], data="data.csv", graph="model.graph"))
+        assert _sha256(report_to_json(rep)) == (
+            "710cc049e5e05a232a289aa5e27f1be2a20cfe9850d44475d380f4516e790745")
+        assert _written(tmp_path) == {
+            "effects.csv": "eb953814b93a2274446f34a3f9c9d1a29519da15036aed9ecede2f7a830a96f2",
+            "ite_R-gbt.csv": "bea850a0a869e483be81c2674cac997d99a0cf2f11ed09ac95c880a037eafc59",
+            "ite_R-linear.csv": "1faedb876cc0a713e2a0af497349de7a7fbf06bf456ace7a804fc69d187e314b",
+            "ite_S-gbt.csv": "87ac5615217afdbaa682e41d42b6c92f98b00a419081797d0ac45bdaf2d3564b",
+            "ite_S-linear.csv": "b847cf1182b18e7727760f1cab05b6513513c02eab42a0eef28186ea03275012",
+            "ite_T-gbt.csv": "6e407b33aae80e4f8dfdf6165626a2f64c52a6868b986c893a526d2209e113bf",
+            "ite_T-linear.csv": "4c145365b9ad590d396fd82df1e922944bba6020a109dc4e8204fc5a23fe2c16",
+            "ite_X-gbt.csv": "0eb9be76b25427ff9a652b4ee3dfb94e99348f5818d865d986cb4b8e29f2c958",
+            "ite_X-linear.csv": "578ba8dcc3139cf5e9850c6d7195cf70fdf6b403727ab9fa012bbf2188730a0b",
+            "refutations.csv": "3668a274da1f02b0dfde54aaabceb6e4bfceeea062115b9ae76b534f6abc9d7b",
+        }
+
+    def test_validation(self, tmp_path):
+        rep = run_validation(n=600, repetitions=1, out_dir=tmp_path)
+        assert _sha256(report_to_json(rep)) == (
+            "ced76886f2f12799da5e2c9708de7f3103ec598d5b809e9ce340b3d5ef3d9b93")
+        assert _written(tmp_path) == {
+            "scatter_R-gbt.csv": "842d7afa5857ca8344de9d215a86df925fcbac9f8447305a50362c6a0a31324e",
+            "scatter_R-linear.csv": "2788f29a8fc6c5239fad00c85db0f47b498b1a25f82c6070aa6086bcbfef731e",
+            "scatter_S-gbt.csv": "c550106ad53b03cc49fe578a2ef6bec07036ffd80cdb4535e74c97f0ac95edd5",
+            "scatter_S-linear.csv": "b8455101834a984608d07b890759ee3f83bb831c5bb0f6894630e553d6afe0f9",
+            "scatter_T-gbt.csv": "b662feba6344903c203abc830ace934f982e9b0da3e40c46dc82be5102b4ea3d",
+            "scatter_T-linear.csv": "ebfff80871685dcc699e965dfbe252aeab3b2cd9fdcef531e6769dc0288384e1",
+            "scatter_X-gbt.csv": "ddab757d8bddbcf08627a8a9596df9818db9373c679009540aea46187f8fe33f",
+            "scatter_X-linear.csv": "9698cc218a87fc90677f69cae7d3d14f2fbbe87597eb8cf0b17154e0cdbc4c4d",
+            "uplift_R-gbt.csv": "4fa8e5023988ee6b288bc5ddb446b95ee12eb82788ba310e9b45a96ba3ccdd15",
+            "uplift_R-linear.csv": "0415ace5525dc28d609c0c19de6be277d2ff89c1c89e4bdd6ceb1fdded9ee6c9",
+            "uplift_S-gbt.csv": "1f513d1b6d67cb73e36040c6f81084e747485e73fff0251f004d0dc7a13a616b",
+            "uplift_S-linear.csv": "a1a1da40cadf3e5e09084feb315c0c93255c6d623e6de9daa13775e37f2a8122",
+            "uplift_T-gbt.csv": "074dea7d90a866eb6988675102116a27e62ff4e5fc253bfa96d60385d83fbc6b",
+            "uplift_T-linear.csv": "610d61e7e6c77dae0e04700f00d132eb830de7460c529faa64bf254f69ebf348",
+            "uplift_X-gbt.csv": "d361ffa10addd413b7ef3052d8687285d0327287a5ab4fbee72943c301f6bd5d",
+            "uplift_X-linear.csv": "610d61e7e6c77dae0e04700f00d132eb830de7460c529faa64bf254f69ebf348",
+            "validation_aggregate.csv":
+                "5e3b9512145f0d21975d1143348ffa4555e64e50d3a7afe0c5d18c69302c0f26",
+            "validation_rows.csv": "dc14c659881b161e0cefbbc76fe8dcafd831e773eea0eb309b5d2a6a1084ab50",
+        }

@@ -1,7 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from causet.estimators import fit_propensity, ipw_ate, regression_adjustment
@@ -276,3 +279,86 @@ class TestOnSyntheticGroundTruth:
         assert abs(placebo.mean_refuted) < 0.25 * abs(placebo.original_effect)
         subset = refute_subset(task, f, repetitions=15, seed=44)
         assert subset.relative_change < 0.10
+
+
+# Each refuter with the extra arguments fixed: fn(task, frame, repetitions, seed).
+REFUTERS = {
+    "random_common_cause": refute_random_common_cause,
+    "placebo_treatment": refute_placebo,
+    "data_subset": lambda task, f, reps, seed: refute_subset(task, f, 0.8, reps, seed),
+    "unobserved_confounder":
+        lambda task, f, reps, seed: refute_unobserved_confounder(task, f, 0.5, 0.5, reps, seed),
+}
+
+
+def stub_task(effects):
+    """A task whose runs return ``effects`` in order, whatever the frame."""
+    it = iter(effects)
+    return EstimationTask(estimate=lambda fr, z: next(it), treatment="t", outcome="y",
+                          adjustment=("x",))
+
+
+def verdict_from_fields(rep):
+    """The verdict each rule gives on the report's own fields."""
+    if rep.refuter == "placebo_treatment":
+        ok = abs(rep.mean_refuted) < 0.25 * abs(rep.original_effect)
+    elif rep.refuter == "unobserved_confounder":
+        return "info"
+    else:
+        ok = rep.relative_change < 0.10
+    return "pass" if ok else "fail"
+
+
+class TestVerdictMatchesReport:
+    @pytest.mark.parametrize("name", ["random_common_cause", "data_subset"])
+    def test_mean_summed_in_repetition_order_near_the_threshold(self, name):
+        # In repetition order these sum to a mean just above 1.1; sorted,
+        # just below, which is what the report shows.
+        effects = (1.0, 1.0999999999999994, 1.1000000000000008, 1.1)
+        rep = REFUTERS[name](stub_task(effects), sample_frame(n=50), 3, 0)
+        assert rep.relative_change == 0.09999999999999987
+        assert rep.verdict_rule == "pass when relative change < 0.1"
+        assert rep.verdict == "pass"
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        original=st.one_of(st.just(1.0), st.floats(-10.0, 10.0)),
+        refuted=st.lists(
+            st.one_of(
+                st.sampled_from([1.1, 1.0999999999999994, 1.1000000000000008, 0.25, -0.25]),
+                st.floats(-10.0, 10.0),
+            ),
+            min_size=1, max_size=6,
+        ),
+    )
+    def test_verdict_follows_from_reported_fields(self, original, refuted):
+        f = sample_frame(n=50)
+        for name, refute in REFUTERS.items():
+            rep = refute(stub_task((original, *refuted)), f, len(refuted), 0)
+            assert rep.refuted_effects == tuple(sorted(refuted))
+            assert rep.verdict == verdict_from_fields(rep), name
+            if name == "unobserved_confounder":
+                lo, hi = rep.refuted_effects[0], rep.refuted_effects[-1]
+                assert rep.verdict_rule.startswith(f"induced effect range [{lo!r}, {hi!r}] ")
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestReportPins:
+    # sha256 of repr(report) for each refuter on sample_frame() with the
+    # regression task, 30 repetitions and seed 7, taken while each refuter
+    # still had its own loop.  The regression fit goes through the BLAS, so
+    # another platform may move the last bits.
+    PINS = {
+        "random_common_cause": "cfb0135a299055b31dd85b771c69747f60899f1370933c30fbe2293a1e3b3bac",
+        "placebo_treatment": "a233618ae35f48c60a5c2daa4c79947488c4bcaa6d8a6b3b8dc72bc42d323dff",
+        "data_subset": "a282dfb71c225a5f9c8e5ebbcf5704c38f495bd29d3548a2759ef9267c005818",
+        "unobserved_confounder": "90a44e3afd3c6439dc457ceffacb20a4ef143735e7e75f22f27aa9facff6a868",
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_report_repr_unchanged(self, name):
+        rep = REFUTERS[name](regression_task(), sample_frame(), 30, 7)
+        assert _sha256(repr(rep)) == self.PINS[name]
