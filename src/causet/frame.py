@@ -12,11 +12,12 @@ means missing, ``.`` is the decimal separator.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -34,6 +35,9 @@ from .rng import make_rng
 KINDS = ("numeric", "binary", "categorical")
 
 MISSING_LEVEL = "__missing__"
+
+# Rows per block in CSV reads and writes.
+_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -242,29 +246,13 @@ def _kind_of(values: np.ndarray) -> str:
     return "numeric"
 
 
-def _float_column(name: str, kind: str | None, cells: list[str]) -> Column | None:
-    """A numeric or binary column from its cells, blank ones given as
-    ``"nan"``; ``kind`` None infers it, and gives None when a cell does not
-    parse (the column is categorical).  Each cell goes through ``float()``
-    once."""
-    try:
-        values = np.fromiter(map(float, cells), dtype=float, count=len(cells))
-    except ValueError:
-        if kind is None:
-            return None
-        _raise_first_bad_cell(name, kind, cells)
-    kind = kind or _kind_of(values)
-    if kind == "binary" and _off_01(values).any():
-        _raise_first_bad_cell(name, kind, cells)
-    return Column(name, kind, values, ~np.isfinite(values))
-
-
 def _raise_first_bad_cell(name: str, kind: str, cells: list[str]) -> None:
     """Raise for the first cell, in row order, that does not parse or, in a
-    binary column, is finite and neither 0 nor 1."""
+    binary column, is finite and neither 0 nor 1.  A blank cell is missing
+    and never offends."""
     for c in cells:
         try:
-            v = float(c)
+            v = float(c or "nan")
         except ValueError:
             raise TypeConflictError(
                 f"column {name!r} declared {kind} but cell {c!r} is not numeric"
@@ -275,16 +263,32 @@ def _raise_first_bad_cell(name: str, kind: str, cells: list[str]) -> None:
             )
 
 
+def _blocks(reader) -> Iterator[list[list[str]]]:
+    """The rows ``reader`` has left, ``_BLOCK`` at a time."""
+    while block := list(itertools.islice(reader, _BLOCK)):
+        yield block
+
+
 def load_csv(path: str | Path, schema: Mapping[str, str] | None = None) -> Frame:
     """Load a CSV file into a frame.
 
     Column kinds come from ``schema`` where given and are inferred otherwise:
     all-numeric columns become numeric, {0, 1} columns binary, anything else
     categorical.  Empty cells are missing, and so are non-finite numbers.
-    Each column is extracted from the rows on its own, and each of its cells
-    is parsed with one ``float()``, an empty one as ``"nan"``; the kind is
-    inferred from the parsed values.  An error names the first offending
-    cell in row order.
+
+    Rows are read ``_BLOCK`` at a time.  Each block is checked for ragged
+    rows and transposed, and each column that may still be numeric has its
+    cells parsed with one ``float()`` each, an empty one as ``"nan"``; a
+    column whose parse fails is not parsed again.  The kind is inferred from
+    the whole parsed column.  Cell text is kept only for the columns that
+    need it (declared categorical, inferred categorical because a cell did
+    not parse, or declared numeric or binary and holding a bad cell), taken
+    in a second pass over the file, so an all-numeric file is read once and
+    memory holds one block of cells plus the parsed columns.
+
+    Errors keep a fixed order: a ragged row anywhere raises first; otherwise
+    the first offending column in header order raises, naming its first
+    offending cell in row order.
     """
     if schema:
         for name, kind in schema.items():
@@ -293,29 +297,75 @@ def load_csv(path: str | Path, schema: Mapping[str, str] | None = None) -> Frame
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            rows = list(reader)
+            header = next(reader, None)
+            if header is None:
+                raise IoError(f"{path}: empty file, header row required")
+            kinds = [schema.get(name) if schema else None for name in header]
+            # Parsed chunks per column; None once the column needs its text.
+            chunks = [None if k == "categorical" else [np.empty(0)] for k in kinds]
+            row_no = 2
+            for block in _blocks(reader):
+                for i, r in enumerate(block, start=row_no):
+                    if len(r) != len(header):
+                        raise RaggedRowError(
+                            f"{path}: row {i} has {len(r)} fields, header has {len(header)}"
+                        )
+                row_no += len(block)
+                for j, cells in enumerate(zip(*block)):
+                    if chunks[j] is None:
+                        continue
+                    if "" in cells:
+                        cells = [c or "nan" for c in cells]
+                    try:
+                        chunks[j].append(np.fromiter(map(float, cells), float, count=len(cells)))
+                    except ValueError:
+                        chunks[j] = None
+            # Each column's parsed values, or None where its text is needed.
+            values = []
+            for j, kind in enumerate(kinds):
+                v = None if chunks[j] is None else np.concatenate(chunks[j])
+                chunks[j] = None
+                if v is not None and kind == "binary" and _off_01(v).any():
+                    v = None
+                values.append(v)
+            texts = {j: [] for j, v in enumerate(values) if v is None}
+            if texts:
+                fh.seek(0)
+                reader = csv.reader(fh)
+                next(reader)
+                for block in _blocks(reader):
+                    for j, cells in texts.items():
+                        cells.extend(r[j] for r in block)
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
-    if not rows:
-        raise IoError(f"{path}: empty file, header row required")
-    header, body = rows[0], rows[1:]
-    for i, row in enumerate(body, start=2):
-        if len(row) != len(header):
-            raise RaggedRowError(
-                f"{path}: row {i} has {len(row)} fields, header has {len(header)}"
-            )
     columns = []
-    for j, name in enumerate(header):
-        kind = schema.get(name) if schema else None
-        col = None
-        if kind != "categorical":
-            col = _float_column(name, kind, [row[j] or "nan" for row in body])
-        if col is None:
-            cells = [row[j] for row in body]
-            missing = np.array([c == "" for c in cells], dtype=bool)
-            col = Column(name, "categorical", np.array(cells, dtype=object), missing)
-        columns.append(col)
+    for j, (name, kind, v) in enumerate(zip(header, kinds, values)):
+        if v is not None:
+            kind = kind or _kind_of(v)
+            columns.append(Column(name, kind, v, ~np.isfinite(v)))
+            continue
+        cells = texts.pop(j)
+        if kind in ("numeric", "binary"):
+            _raise_first_bad_cell(name, kind, cells)
+        missing = np.array([c == "" for c in cells], dtype=bool)
+        columns.append(Column(name, "categorical", np.array(cells, dtype=object), missing))
     return Frame(columns)
+
+
+def _cells(col: Column, rows: slice) -> list[str]:
+    """One column's CSV cells over ``rows``: a numeric value's ``repr``, a
+    binary value as an integer, categorical text as is, "" where missing."""
+    missing = col.missing[rows]
+    values = col.values[rows]
+    if col.kind == "numeric":
+        cells = list(map(repr, values.tolist()))
+    elif col.kind == "binary":
+        cells = list(map(str, np.where(missing, 0.0, values).astype(np.int64).tolist()))
+    else:
+        cells = list(map(str, values.tolist()))
+    for i in np.flatnonzero(missing).tolist():
+        cells[i] = ""
+    return cells
 
 
 def write_csv(f: Frame, path: str | Path) -> None:
@@ -323,22 +373,16 @@ def write_csv(f: Frame, path: str | Path) -> None:
 
     Floats are written with shortest round-trip formatting so that
     ``load_csv(write_csv(f))`` reproduces values and missing-masks exactly.
+    Rows go out ``_BLOCK`` at a time, each block formatted column by column,
+    so memory holds one block of cells beside the frame.
     """
-    def fmt(col: Column, i: int) -> str:
-        if col.missing[i]:
-            return ""
-        if col.kind == "categorical":
-            return str(col.values[i])
-        if col.kind == "binary":
-            return str(int(col.values[i]))
-        return repr(float(col.values[i]))
-
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(f.names)
-            for i in range(f.n_rows):
-                writer.writerow([fmt(c, i) for c in f.columns])
+            for start in range(0, f.n_rows, _BLOCK):
+                rows = slice(start, start + _BLOCK)
+                writer.writerows(zip(*(_cells(c, rows) for c in f.columns)))
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 

@@ -130,6 +130,16 @@ class QuerySpec:
                 raise ParseError(f"unknown refuter {r!r}")
         if not self.estimators and not self.metalearners:
             raise ParseError("select at least one estimator or metalearner")
+        for key, ok, bounds in (
+            ("refuter_repetitions", self.refuter_repetitions >= 1, ">= 1"),
+            ("strata", self.strata >= 1, ">= 1"),
+            ("propensity_clip", 0.0 < self.propensity_clip < 0.5, "in (0, 0.5)"),
+            ("subset_fraction", 0.0 < self.subset_fraction < 1.0, "in (0, 1)"),
+            ("confounder_strength_t", 0.0 <= self.confounder_strength_t < 1.0, "in [0, 1)"),
+            ("confounder_strength_y", 0.0 <= self.confounder_strength_y < 1.0, "in [0, 1)"),
+        ):
+            if not ok:
+                raise ParseError(f"key {key!r} must be {bounds}, got {getattr(self, key)!r}")
 
 
 def parse_query_spec(path: str | Path, default_seed: int | None = 0) -> QuerySpec:

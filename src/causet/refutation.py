@@ -117,6 +117,8 @@ def _refute(
     ``judge(original, refuted, mean)`` returns the verdict and its rule from
     the sorted effects and their mean, the same numbers the report holds.
     """
+    if repetitions < 1:
+        raise ValueError("repetitions must be >= 1")
     original = task.run(f)
     runs = [task.run(*perturb(make_rng(derive_seed(seed, i)))) for i in range(repetitions)]
     arr = np.sort(np.asarray(runs, dtype=float))

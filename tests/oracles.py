@@ -201,6 +201,32 @@ def load_csv_two_pass(path, schema=None) -> Frame:
     return Frame(columns)
 
 
+def write_csv_rowwise(f: Frame, path) -> None:
+    """Write a frame to CSV one row at a time: the former library writer,
+    verbatim, which formats each cell on its own.
+
+    Floats are written with shortest round-trip formatting so that
+    ``load_csv(write_csv(f))`` reproduces values and missing-masks exactly.
+    """
+    def fmt(col: Column, i: int) -> str:
+        if col.missing[i]:
+            return ""
+        if col.kind == "categorical":
+            return str(col.values[i])
+        if col.kind == "binary":
+            return str(int(col.values[i]))
+        return repr(float(col.values[i]))
+
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(f.names)
+            for i in range(f.n_rows):
+                writer.writerow([fmt(c, i) for c in f.columns])
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
+
+
 # -- numerics -------------------------------------------------------------------
 
 

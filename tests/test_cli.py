@@ -247,3 +247,33 @@ class TestOsErrors:
         rc = main(["synth", "--n", "10", "--out", str(tmp_path / "file" / "x")])
         assert rc == 1
         assert self.error_type(capsys) == "NotADirectoryError"
+
+
+class TestSpecRanges:
+    """A spec value outside its range gives exit 1 and the JSON error block,
+    naming the key, before any estimator or refuter runs."""
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("refute", "refuter_repetitions", "0"),
+        ("refute", "propensity_clip", "0.7"),
+        ("refute", "subset_fraction", "1.5"),
+        ("refute", "confounder_strength_t", "2"),
+        ("refute", "confounder_strength_y", "-0.5"),
+        ("estimate", "strata", "0"),
+    ])
+    def test_out_of_range(self, workdir, tmp_path, capsys, command, key, value):
+        spec = workdir / f"range_{key}.spec"
+        spec.write_text(
+            "data = data.csv\n"
+            "graph = model.graph\n"
+            "treatment = w\n"
+            "outcome = y\n"
+            "estimators = ipw, stratification\n"
+            f"{key} = {value}\n"
+            + ("" if key == "refuter_repetitions" else "refuter_repetitions = 4\n"),
+            encoding="utf-8",
+        )
+        assert main([command, str(spec), "--out", str(tmp_path)]) == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ParseError"
+        assert repr(key) in err["message"]

@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from causet.errors import (
     TypeConflictError,
     UnknownColumnError,
 )
+from causet import frame
 from causet.frame import (
     Column,
     Frame,
@@ -27,7 +29,7 @@ from causet.frame import (
 )
 from causet.rng import make_rng
 
-from oracles import load_csv_two_pass
+from oracles import load_csv_two_pass, write_csv_rowwise
 
 
 def frame_of(text, path, schema=None):
@@ -125,8 +127,40 @@ CELLS = st.one_of(
 )
 
 
+def write_rows(path, rows, names=("c0", "c1", "c2")):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(names)
+        writer.writerows(rows)
+
+
+def assert_same_load(path, schema=None):
+    """``load_csv`` and the two-pass oracle give the same frame, bit for
+    bit, or the same error; returns the frame or the error."""
+    outcomes = []
+    for load in (load_csv, load_csv_two_pass):
+        try:
+            outcomes.append(load(path, schema=schema))
+        except (TypeConflictError, RaggedRowError) as exc:
+            outcomes.append((type(exc), str(exc)))
+    got, expected = outcomes
+    if isinstance(expected, tuple):
+        assert got == expected
+        return got
+    assert got == expected
+    for a, b in zip(got.columns, expected.columns):
+        assert a.kind == b.kind
+        assert a.missing.tobytes() == b.missing.tobytes()
+        if a.kind == "categorical":
+            assert a.values.tolist() == b.values.tolist()
+        else:
+            assert a.values.tobytes() == b.values.tobytes()
+    return got
+
+
 class TestLoaderOracle:
-    """The one-pass loader against the former two-pass one."""
+    """The block loader against the former two-pass one, with blocks small
+    enough that the files cross them."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -134,31 +168,119 @@ class TestLoaderOracle:
         schema_kind=st.sampled_from([None, "numeric", "binary", "categorical"]),
     )
     def test_same_frame_or_same_error(self, tmp_path_factory, rows, schema_kind):
-        names = [f"c{j}" for j in range(3)]
         path = tmp_path_factory.mktemp("oracle") / "d.csv"
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(names)
-            writer.writerows(rows)
+        write_rows(path, rows)
         schema = None if schema_kind is None else {"c1": schema_kind}
-        outcomes = []
-        for load in (load_csv, load_csv_two_pass):
-            try:
-                outcomes.append(load(path, schema=schema))
-            except TypeConflictError as exc:
-                outcomes.append((type(exc), str(exc)))
-        got, expected = outcomes
-        if isinstance(expected, tuple):
-            assert got == expected
-            return
-        assert got == expected
-        for a, b in zip(got.columns, expected.columns):
-            assert a.kind == b.kind
-            assert a.missing.tobytes() == b.missing.tobytes()
-            if a.kind == "categorical":
-                assert a.values.tolist() == b.values.tolist()
-            else:
-                assert a.values.tobytes() == b.values.tobytes()
+        for block in (1, 2, 3, frame._BLOCK):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(frame, "_BLOCK", block)
+                assert_same_load(path, schema)
+
+
+class TestLoaderBlocks:
+    """Fixed cases at two rows per block: blocks 1, 2, 3 hold rows 2-3, 4-5, 6-7."""
+
+    @pytest.fixture(autouse=True)
+    def two_row_blocks(self, monkeypatch):
+        monkeypatch.setattr(frame, "_BLOCK", 2)
+
+    def test_blank_only_in_last_block(self, tmp_path):
+        write_rows(tmp_path / "d.csv", [["1", "0", "a"]] * 4 + [["", "1", "b"]])
+        f = assert_same_load(tmp_path / "d.csv")
+        assert f.kind("c0") == "binary"
+        assert f.missing("c0").tolist() == [False] * 4 + [True]
+
+    def test_unparsable_only_in_last_block(self, tmp_path):
+        write_rows(tmp_path / "d.csv", [["1.5", "0", "2"]] * 4 + [["x", "1", "3"]])
+        f = assert_same_load(tmp_path / "d.csv")
+        assert [f.kind(n) for n in f.names] == ["categorical", "binary", "numeric"]
+        assert f.values("c0").tolist() == ["1.5"] * 4 + ["x"]
+
+    def test_declared_binary_names_first_bad_cell(self, tmp_path):
+        rows = [["2", "0", "0"], ["1", "0", "0"], ["0", "0", "0"],
+                ["1", "0", "0"], ["abc", "0", "0"]]
+        write_rows(tmp_path / "d.csv", rows)
+        with pytest.raises(TypeConflictError, match=r"cell '2' is not 0/1"):
+            load_csv(tmp_path / "d.csv", schema={"c0": "binary"})
+        assert_same_load(tmp_path / "d.csv", {"c0": "binary"})
+
+    def test_ragged_row_outranks_an_earlier_bad_cell(self, tmp_path):
+        rows = [["abc", "0", "0"], ["1", "0", "0"], ["0", "0", "0"],
+                ["1", "0", "0"], ["0", "0"]]
+        write_rows(tmp_path / "d.csv", rows)
+        with pytest.raises(RaggedRowError, match=r"row 6 has 2 fields"):
+            load_csv(tmp_path / "d.csv", schema={"c0": "numeric"})
+        assert_same_load(tmp_path / "d.csv", {"c0": "numeric"})
+
+    @pytest.mark.parametrize("schema_kind", [None, "numeric", "binary", "categorical"])
+    def test_header_only(self, tmp_path, schema_kind):
+        write_rows(tmp_path / "d.csv", [])
+        f = assert_same_load(tmp_path / "d.csv", {"c0": schema_kind} if schema_kind else None)
+        assert f.n_rows == 0 and f.names == ("c0", "c1", "c2")
+
+    def test_rows_an_exact_multiple_of_the_block(self, tmp_path):
+        write_rows(tmp_path / "d.csv", [[str(i), str(i % 2), f"t{i}"] for i in range(4)])
+        f = assert_same_load(tmp_path / "d.csv")
+        assert f.n_rows == 4
+        assert f.values("c0").tolist() == [0.0, 1.0, 2.0, 3.0]
+
+
+NUMBERS = st.one_of(st.floats(), st.sampled_from([-0.0, 5e-324, 1e16, 1 / 3]))
+TEXT = st.one_of(
+    st.text(alphabet='ab ,"\n\r', max_size=4),
+    st.sampled_from(["", '""', "a,b", 'say "hi"', "two\nlines"]),
+)
+
+
+@st.composite
+def frames(draw):
+    n = draw(st.integers(0, 9))
+
+    def cells(elements):
+        return draw(st.lists(elements, min_size=n, max_size=n))
+
+    return Frame([
+        Column("num", "numeric", np.array(cells(NUMBERS), dtype=float), cells(st.booleans())),
+        Column("bin", "binary", np.array(cells(st.sampled_from([0.0, 1.0, -0.0])), dtype=float),
+               cells(st.booleans())),
+        Column("te,xt", "categorical", np.array(cells(TEXT), dtype=object), cells(st.booleans())),
+    ])
+
+
+class TestWriterBytes:
+    """The block writer against the former row-at-a-time one."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(f=frames())
+    def test_same_bytes_at_every_block_size(self, tmp_path_factory, f):
+        d = tmp_path_factory.mktemp("writer")
+        write_csv_rowwise(f, d / "rowwise.csv")
+        expected = (d / "rowwise.csv").read_bytes()
+        for block in (1, 3, frame._BLOCK):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(frame, "_BLOCK", block)
+                write_csv(f, d / "blocks.csv")
+            assert (d / "blocks.csv").read_bytes() == expected
+
+
+class TestLoaderMemory:
+    def test_peak_is_a_small_multiple_of_the_frame(self, tmp_path):
+        # Holding every row's cell strings at once peaked near 11x the frame;
+        # one block of cells plus the parsed columns stays near 2.4x.
+        n, k = 50_000, 10
+        rng = make_rng(5)
+        f = Frame([Column(f"x{j}", "numeric", rng.standard_normal(n), np.zeros(n, dtype=bool))
+                   for j in range(k)])
+        write_csv(f, tmp_path / "d.csv")
+        size = sum(c.values.nbytes + c.missing.nbytes for c in f.columns)
+        tracemalloc.start()
+        try:
+            g = load_csv(tmp_path / "d.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g == f
+        assert peak < 5 * size, f"peak {peak / size:.1f}x the frame"
 
 
 class TestOneHot:

@@ -196,6 +196,18 @@ class TestUnobservedConfounder:
             refute_unobserved_confounder(regression_task(), f, 1.0, 0.5, 2, 0)
 
 
+class TestRepetitions:
+    @pytest.mark.parametrize("refute", [
+        lambda task, f, reps: refute_random_common_cause(task, f, reps, 1),
+        lambda task, f, reps: refute_placebo(task, f, reps, 1),
+        lambda task, f, reps: refute_subset(task, f, 0.8, reps, 1),
+        lambda task, f, reps: refute_unobserved_confounder(task, f, 0.5, 0.5, reps, 1),
+    ])
+    def test_at_least_one(self, refute):
+        with pytest.raises(ValueError, match="repetitions must be >= 1"):
+            refute(regression_task(), sample_frame(19, n=100), 0)
+
+
 class TestPValue:
     def test_degenerate_match(self):
         assert refutation_p_value([2.0] * 30, 2.0) == 1.0
