@@ -45,7 +45,6 @@ from .pipeline import QuerySpec, compare_report, parse_query_spec, run_query, ru
 from .refutation import (
     EstimationTask,
     RefutationReport,
-    refutation_p_value,
     refute_placebo,
     refute_random_common_cause,
     refute_subset,
@@ -97,7 +96,6 @@ __all__ = [
     "prediction_scatter",
     "psm_att",
     "r_learner",
-    "refutation_p_value",
     "refute_placebo",
     "refute_random_common_cause",
     "refute_subset",

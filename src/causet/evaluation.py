@@ -148,28 +148,18 @@ def uplift_curve_true(ite_pred, tau_true) -> UpliftCurve:
 
 @dataclass(frozen=True)
 class ScatterFit:
-    """(true, predicted) pairs plus the OLS line through them.
+    """The OLS line of predicted on true effects.
 
     A perfect effect model has slope 1 and intercept 0; a constant predictor
     has slope 0.
     """
 
-    truth: np.ndarray
-    pred: np.ndarray
     slope: float
     intercept: float
 
-    def __post_init__(self):
-        self.truth.setflags(write=False)
-        self.pred.setflags(write=False)
-
-    @property
-    def pairs(self) -> list[tuple[float, float]]:
-        return [(float(a), float(b)) for a, b in zip(self.truth, self.pred)]
-
 
 def prediction_scatter(ite_pred, tau_true) -> ScatterFit:
-    """Scatter data with the least-squares fit of predicted on true effects."""
+    """The least-squares fit of predicted on true effects."""
     pred, truth = _pair(ite_pred, tau_true)
     tc = truth - truth.mean()
     var = float(tc @ tc)
@@ -178,4 +168,4 @@ def prediction_scatter(ite_pred, tau_true) -> ScatterFit:
     else:
         slope = float(tc @ (pred - pred.mean()) / var)
     intercept = float(pred.mean() - slope * truth.mean())
-    return ScatterFit(truth=truth.copy(), pred=pred.copy(), slope=slope, intercept=intercept)
+    return ScatterFit(slope=slope, intercept=intercept)

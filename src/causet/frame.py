@@ -26,6 +26,7 @@ from .errors import (
     IoError,
     KindError,
     MissingDataError,
+    ParseError,
     RaggedRowError,
     TypeConflictError,
     UnknownColumnError,
@@ -288,7 +289,8 @@ def load_csv(path: str | Path, schema: Mapping[str, str] | None = None) -> Frame
 
     Errors keep a fixed order: a ragged row anywhere raises first; otherwise
     the first offending column in header order raises, naming its first
-    offending cell in row order.
+    offending cell in row order.  Bytes that are not UTF-8, or a field over
+    csv's size limit, raise a :class:`ParseError` naming the path.
     """
     if schema:
         for name, kind in schema.items():
@@ -338,6 +340,8 @@ def load_csv(path: str | Path, schema: Mapping[str, str] | None = None) -> Frame
                         cells.extend(r[j] for r in block)
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ParseError(f"{path}: cannot parse as a UTF-8 CSV file: {exc}") from exc
     columns = []
     for j, (name, kind, v) in enumerate(zip(header, kinds, values)):
         if v is not None:

@@ -69,31 +69,56 @@ class LearnerSpec:
 
 
 class _Tree:
-    """Flat-array regression tree; feature < 0 marks a leaf."""
+    """Flat-array regression tree; feature < 0 marks a leaf.
 
-    __slots__ = ("feature", "threshold", "left", "right", "value")
+    Nodes are numbered parents first (both growers number them in
+    preorder).  The children live in one table, built once per tree:
+    ``child[2 * i + 1]`` is node i's left child and ``child[2 * i]`` its
+    right one, and a leaf points to itself on both sides.  ``left`` and
+    ``right`` are views of it.  ``depth`` is the number of edges on the
+    tree's longest root-to-leaf path.
+    """
+
+    __slots__ = ("feature", "threshold", "value", "child", "depth")
 
     def __init__(self, feature, threshold, left, right, value):
         self.feature = np.asarray(feature, dtype=np.int64)
         self.threshold = np.asarray(threshold, dtype=float)
-        self.left = np.asarray(left, dtype=np.int64)
-        self.right = np.asarray(right, dtype=np.int64)
         self.value = np.asarray(value, dtype=float)
+        internal = self.feature >= 0
+        self.child = np.repeat(np.arange(len(self.feature), dtype=np.int64), 2)
+        self.child[1::2][internal] = np.asarray(left, dtype=np.int64)[internal]
+        self.child[0::2][internal] = np.asarray(right, dtype=np.int64)[internal]
+        child, depth = self.child.tolist(), [0] * len(self.feature)
+        for i in np.flatnonzero(internal).tolist():
+            depth[child[2 * i]] = depth[child[2 * i + 1]] = depth[i] + 1
+        self.depth = max(depth)
+
+    @property
+    def left(self) -> np.ndarray:
+        return self.child[1::2]
+
+    @property
+    def right(self) -> np.ndarray:
+        return self.child[0::2]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        n = X.shape[0]
+        """Leaf value of every row of ``X``, in exactly ``depth`` steps.
+
+        Each step reads every row's split value from the C-contiguous flat
+        X and moves to ``child[2 * node + (x <= threshold)]``; a row that
+        has reached its leaf stays there, whatever its read gives (a leaf's
+        feature -1 reads an in-bounds cell).  ``x <= threshold`` is false
+        for a NaN, so a NaN goes right, as in growth.
+        """
+        n, p = X.shape
+        flat = np.ascontiguousarray(X, dtype=float).reshape(-1)
+        offsets = np.arange(n, dtype=np.int64) * p
         node = np.zeros(n, dtype=np.int64)
-        while True:
-            feat = self.feature[node]
-            internal = feat >= 0
-            if not internal.any():
-                break
-            xv = X[np.arange(n), np.where(internal, feat, 0)]
-            # ~(x <= thr), not x > thr: a NaN goes right, as in growth.
-            go_right = internal & ~(xv <= self.threshold[node])
-            nxt = np.where(go_right, self.right[node], np.where(internal, self.left[node], node))
-            node = nxt
-        return self.value[node]
+        for _ in range(self.depth):
+            x = flat.take(offsets + self.feature.take(node))
+            node = self.child.take(2 * node + (x <= self.threshold.take(node)))
+        return self.value.take(node)
 
     def n_nodes(self) -> int:
         return len(self.feature)
@@ -110,6 +135,7 @@ def _best_split(
     min_leaf: int,
     buf: np.ndarray,
     flags: np.ndarray,
+    unit_denom: np.ndarray | None = None,
 ) -> tuple[float, int, float]:
     """Best ``(gain, feature, threshold)`` of one node, all features at once.
 
@@ -122,6 +148,15 @@ def _best_split(
     nothing large.  Within a feature the first best position wins; across
     features a later feature must be strictly better, so ties go to the
     lowest feature.  Feature -1 means no split has positive gain.
+
+    ``unit_denom`` is ``np.arange(1, n + 1) + lam`` when every weight is
+    exactly 1, else None.  With unit weights the prefix sums ``cw`` of every
+    feature are the exact integers ``lo + 1 .. hi``, the same bits a cumsum
+    of ones gives, and the window is symmetric, so ``rw = wsum - cw`` is the
+    same row reversed.  Both denominators are then views of that one ramp,
+    shared by all features: no weight is gathered or summed, and the
+    ``cw > 0`` and ``rw > 0`` masks, always true, are skipped.  The gain is
+    evaluated in the same order on both paths, so it has the same bits.
     """
     p, n_node = node_orders.shape
     lo, hi = min_leaf - 1, n_node - min_leaf
@@ -134,32 +169,39 @@ def _best_split(
     for j in range(p):
         np.take(XT[j], node_orders[j, lo : hi + 1], out=v[j], mode="wrap")
     head = node_orders[:, :hi]
-    cw = block(buf, 1, hi)
-    np.take(w, head, out=cw, mode="wrap")
-    np.cumsum(cw, axis=1, out=cw)
     cwy = block(buf, 2, hi)
     np.take(wt, head, out=cwy, mode="wrap")
     np.cumsum(cwy, axis=1, out=cwy)
-    cw, cwy = cw[:, lo:], cwy[:, lo:]
+    cwy = cwy[:, lo:]
 
     # gain = cwy^2 / (cw + lam) + (wysum - cwy)^2 / (rw + lam) - parent_score,
     # with rw = wsum - cw, evaluated in that order so every bit is the same.
-    valid, ok = block(flags, 0, m), block(flags, 1, m)
+    valid = block(flags, 0, m)
     np.less(v[:, :-1], v[:, 1:], out=valid)
-    np.greater(cw, 0, out=ok)
-    valid &= ok
-    gain, denom = block(buf, 3, m), block(buf, 4, m)
-    np.add(cw, lam, out=denom)
-    rw = np.subtract(wsum, cw, out=cw)
-    np.greater(rw, 0, out=ok)
-    valid &= ok
+    if unit_denom is None:
+        cw = block(buf, 1, hi)
+        np.take(w, head, out=cw, mode="wrap")
+        np.cumsum(cw, axis=1, out=cw)
+        cw = cw[:, lo:]
+        ok = block(flags, 1, m)
+        np.greater(cw, 0, out=ok)
+        valid &= ok
+        denom = block(buf, 4, m)
+        np.add(cw, lam, out=denom)
+        rw = np.subtract(wsum, cw, out=cw)
+        np.greater(rw, 0, out=ok)
+        valid &= ok
+        rdenom = np.add(rw, lam, out=rw)
+    else:
+        denom = unit_denom[lo:hi]
+        rdenom = denom[::-1]
+    gain = block(buf, 3, m)
     with np.errstate(divide="ignore", invalid="ignore"):
         np.subtract(wysum, cwy, out=gain)
         np.square(gain, out=gain)
         np.square(cwy, out=cwy)
         np.divide(cwy, denom, out=cwy)
-        np.add(rw, lam, out=rw)
-        np.divide(gain, rw, out=gain)
+        np.divide(gain, rdenom, out=gain)
         np.add(cwy, gain, out=gain)
         np.subtract(gain, wysum**2 / (wsum + lam), out=gain)
     np.logical_not(valid, out=valid)
@@ -201,6 +243,11 @@ def _grow_tree(
     depth first, left child first, from an explicit stack, so they are
     numbered in preorder and growth leaves no reference cycle behind.
 
+    When every weight is exactly 1 (``(w == 1.0).all()``), the split
+    search gets the one ramp ``arange(1, n + 1) + leaf_penalty`` in place of
+    per-node weight prefix sums (see :func:`_best_split`); the result is the
+    same bit for bit.
+
     Growth sends row i left exactly when ``X[i, f] <= threshold``, which is
     the route :meth:`_Tree.predict` takes for every X (a NaN goes right in
     both), and each leaf writes its value into the returned per-row array.
@@ -216,6 +263,7 @@ def _grow_tree(
     wt = w * target
     lam = leaf_penalty
     p, n = orders.shape
+    unit_denom = np.arange(1.0, n + 1) + lam if (w == 1.0).all() else None
     fitted = np.empty(n)
     scratch = np.zeros(n, dtype=bool)
     buf = np.empty((5, p * n))
@@ -244,7 +292,7 @@ def _grow_tree(
         best_gain, best_feat, best_thr = 0.0, -1, 0.0
         if depth < max_depth and n_node >= 2 * min_leaf and sse > 0.0:
             best_gain, best_feat, best_thr = _best_split(
-                XT, w, wt, node_orders, wsum, wysum, lam, min_leaf, buf, flags
+                XT, w, wt, node_orders, wsum, wysum, lam, min_leaf, buf, flags, unit_denom
             )
         if best_feat < 0 or best_gain <= _SPLIT_TOL * sse:
             fitted[rows] = leaf
@@ -335,6 +383,7 @@ class FittedModel:
         if self.spec.kind == "logistic":
             eta = self._intercept + X @ self._coef
             return _sigmoid(eta)
+        X = np.ascontiguousarray(X)  # once, not once per tree
         out = np.full(X.shape[0], self._base_value)
         for tree in self._trees:
             out = out + self.spec.learning_rate * tree.predict(X)
@@ -344,7 +393,7 @@ class FittedModel:
         """(rounds+1, n) matrix of boosted predictions after 0..m trees (gbt only)."""
         if self.spec.kind != "gbt":
             raise ValueError("staged_predictions is only defined for gbt models")
-        X = self._align(X, feature_names)
+        X = np.ascontiguousarray(self._align(X, feature_names))
         out = np.empty((len(self._trees) + 1, X.shape[0]))
         cur = np.full(X.shape[0], self._base_value)
         out[0] = cur
@@ -517,7 +566,10 @@ def fit_gbt(
     ``X.T`` and the stable sort order of every feature are made once per
     fit, as two ``(p, n)`` arrays that every tree reuses.  The training
     predictions advance by the per-row leaf values that growth returns, so a
-    round costs one tree's growth and no prediction pass.  Time is
+    round costs one tree's growth and no prediction pass.  With unit
+    weights (every call without ``w``) the split search skips the weight
+    prefix sums.  Prediction walks each tree's child table a fixed ``depth``
+    steps over the C-contiguous X (see :class:`_Tree`).  Time is
     O(rounds * depth * n * p) after the O(p * n log n) sort.  Memory is
     O(n * p): the transposed matrix and sort orders, the orders of the nodes
     waiting to be grown, and one tree's scratch buffers (see

@@ -73,26 +73,15 @@ class RefutationReport:
 
 
 def _normal_tail_p(refuted: np.ndarray, original: float) -> float:
+    """Two-sided tail probability of ``original`` under a normal fitted to
+    ``refuted``, clamped to 1; with zero variance, 1 when ``original``
+    equals the constant, else 0."""
     mean = float(refuted.mean())
     std = float(refuted.std())
     if std == 0.0:
         return 1.0 if original == mean else 0.0
     zscore = abs(original - mean) / std
     return min(1.0, math.erfc(zscore / math.sqrt(2.0)))
-
-
-def refutation_p_value(refuted_effects: Sequence[float], original_effect: float) -> float:
-    """Two-sided normal tail probability of the original among refuted effects.
-
-    Fits a normal distribution to the refuted effects and returns the
-    clamped two-sided tail probability of the original effect under it.
-    With zero variance the result is 1 when the original equals the
-    constant, else 0.  Requires at least 30 repetitions.
-    """
-    refuted = np.asarray(refuted_effects, dtype=float)
-    if refuted.size < 30:
-        raise ValueError("p-value needs at least 30 repetitions")
-    return _normal_tail_p(refuted, float(original_effect))
 
 
 def _relative_change(mean_refuted: float, original: float) -> float:

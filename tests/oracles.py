@@ -389,6 +389,29 @@ def grow_tree_per_feature(
     return _Tree(feature, threshold, left, right, value)
 
 
+def tree_predict_levelwise(tree: _Tree, X: np.ndarray) -> np.ndarray:
+    """Leaf value of every row of ``X``, walked level by level with masks.
+
+    This is the former ``_Tree.predict``, kept verbatim: it masks out the
+    rows already at a leaf at every level, reads ``left`` and ``right``
+    only for internal nodes, and stops when no row is at an internal node.
+    """
+    self = tree
+    n = X.shape[0]
+    node = np.zeros(n, dtype=np.int64)
+    while True:
+        feat = self.feature[node]
+        internal = feat >= 0
+        if not internal.any():
+            break
+        xv = X[np.arange(n), np.where(internal, feat, 0)]
+        # ~(x <= thr), not x > thr: a NaN goes right, as in growth.
+        go_right = internal & ~(xv <= self.threshold[node])
+        nxt = np.where(go_right, self.right[node], np.where(internal, self.left[node], node))
+        node = nxt
+    return self.value[node]
+
+
 def uplift_gains_bruteforce(pred, w, y):
     """Per-prefix gains recomputed from scratch for every k."""
     order = sorted(range(len(pred)), key=lambda i: (-pred[i], i))

@@ -225,6 +225,25 @@ class TestErrorPaths:
         assert rc == 1
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "ParseError"
 
+    @pytest.mark.parametrize("name, body", [
+        # byte 0xff never occurs in UTF-8
+        ("latin.csv", b"w,y\n1,0.5\n0,\xff\n"),
+        # one quoted field over csv's 131,072-character field limit
+        ("long.csv", b'w,y\n1,"' + b"7" * 200_000 + b'"\n'),
+    ], ids=["non_utf8", "overlong_field"])
+    def test_unreadable_data_file(self, workdir, tmp_path, capsys, name, body):
+        (workdir / name).write_bytes(body)
+        spec = workdir / f"{name}.spec"
+        spec.write_text(
+            (workdir / "query.spec").read_text().replace("data.csv", name),
+            encoding="utf-8",
+        )
+        rc = main(["estimate", str(spec), "--out", str(tmp_path)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ParseError"
+        assert name in err["message"]
+
 
 class TestOsErrors:
     """A file the command cannot write gives exit 1 and the JSON error block."""

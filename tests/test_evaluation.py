@@ -185,7 +185,3 @@ class TestPredictionScatter:
         tau = rng.uniform(size=100)
         fit = prediction_scatter(np.full(100, tau.mean()), tau)
         assert fit.slope == pytest.approx(0.0, abs=1e-12)
-
-    def test_pairs_preserved(self):
-        fit = prediction_scatter([1.0, 2.0], [3.0, 4.0])
-        assert fit.pairs == [(3.0, 1.0), (4.0, 2.0)]

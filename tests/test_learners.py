@@ -10,7 +10,9 @@ from causet.errors import DimensionMismatchError, SingleClassError
 from causet.learners import (
     FittedModel,
     LearnerSpec,
+    _best_split,
     _grow_tree,
+    _Tree,
     fit_gbt,
     fit_learner,
     fit_linear,
@@ -18,7 +20,12 @@ from causet.learners import (
 )
 from causet.rng import make_rng
 
-from oracles import grow_tree_per_feature, logistic_loglik, normal_equations_fit
+from oracles import (
+    grow_tree_per_feature,
+    logistic_loglik,
+    normal_equations_fit,
+    tree_predict_levelwise,
+)
 
 
 class TestLearnerSpec:
@@ -279,6 +286,96 @@ class TestGrowTree:
                            leaf_penalty=0.0, min_leaf=1)
         model = fit_gbt(X, y, spec=spec)
         assert model.predict(X) == pytest.approx([0.0, 0.0, 5.0, 5.0, 5.0, 5.0])
+
+
+def _layouts(X: np.ndarray, rng) -> dict[str, np.ndarray]:
+    """``X`` with some cells NaN, as C-ordered, Fortran-ordered and
+    column-sliced arrays of the same values."""
+    X = X.copy()
+    X[rng.uniform(size=X.shape) < 0.1] = np.nan
+    wide = np.full((X.shape[0], 2 * X.shape[1] + 1), -7.0)
+    wide[:, 1::2] = X
+    return {"c": X, "fortran": np.asfortranarray(X), "sliced": wide[:, 1::2]}
+
+
+def _longest_path(tree: _Tree, node: int = 0) -> int:
+    if tree.feature[node] < 0:
+        return 0
+    return 1 + max(_longest_path(tree, tree.left[node]), _longest_path(tree, tree.right[node]))
+
+
+class TestTreePredict:
+    """The fixed-depth child-table walk against the level-by-level walk it
+    replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(grow_cases(), st.integers(0, 2**32 - 1))
+    def test_matches_levelwise_walk(self, case, seed):
+        X, target, w, max_depth, min_leaf, lam = case
+        XT = np.ascontiguousarray(X.T)
+        orders = np.argsort(XT, axis=1, kind="stable")
+        try:
+            tree, _ = _grow_tree(XT, target, w, max_depth, orders, lam, min_leaf)
+        except ZeroDivisionError:
+            return  # a node with no positive weight; see assert_same_tree
+        assert tree.depth == _longest_path(tree)
+        for name, Xl in _layouts(X, make_rng(seed)).items():
+            got = tree.predict(Xl)
+            assert got.tobytes() == tree_predict_levelwise(tree, Xl).tobytes(), name
+
+    def test_one_leaf_tree(self):
+        tree = _Tree([-1], [0.0], [-1], [-1], [2.5])
+        assert tree.depth == 0
+        assert tree.predict(np.empty((3, 0))).tolist() == [2.5] * 3
+        X = np.array([[np.nan, 1.0], [0.0, -1.0]])
+        assert tree.predict(X).tolist() == [2.5, 2.5]
+        assert tree.predict(X).tobytes() == tree_predict_levelwise(tree, X).tobytes()
+
+    def test_zero_columns(self):
+        X = np.empty((3, 0))
+        XT = np.ascontiguousarray(X.T)
+        tree, fitted = _grow_tree(XT, np.array([1.0, 2.0, 4.0]), np.ones(3), 3,
+                                  np.argsort(XT, axis=1, kind="stable"))
+        assert tree.depth == 0
+        assert tree.predict(X).tobytes() == fitted.tobytes()
+        assert tree.predict(X).tobytes() == tree_predict_levelwise(tree, X).tobytes()
+
+    def test_leaves_at_different_depths(self):
+        # node 0 splits on x0; its right child is a leaf, its left splits on x1
+        tree = _Tree([0, 1, -1, -1, -1], [0.5, 0.0, 0.0, 0.0, 0.0],
+                     [1, 2, -1, -1, -1], [4, 3, -1, -1, -1], [9.0, 8.0, 1.0, 2.0, 3.0])
+        assert tree.depth == 2
+        X = np.array([[0.0, -1.0], [0.0, 1.0], [1.0, -1.0], [np.nan, -1.0], [0.0, np.nan]])
+        assert tree.predict(X).tolist() == [1.0, 2.0, 3.0, 3.0, 2.0]
+        assert tree.predict(X).tobytes() == tree_predict_levelwise(tree, X).tobytes()
+
+
+class TestUnitWeightSplit:
+    """With every weight 1, the split search without weight prefix sums
+    gives the weighted search's answer bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(grow_cases(), st.integers(0, 2**32 - 1))
+    def test_same_split_as_weighted_path(self, case, seed):
+        X, target, _, _, min_leaf, lam = case
+        n, p = X.shape
+        # a node: the rows a random mask keeps, in each feature's order
+        keep = make_rng(seed).uniform(size=n) < 0.8
+        n_node = int(keep.sum())
+        if p == 0 or n_node < 2 * min_leaf:
+            return
+        w = np.ones(n)
+        XT = np.ascontiguousarray(X.T)
+        orders = np.argsort(XT, axis=1, kind="stable")
+        node_orders = orders[keep[orders]].reshape(p, n_node)
+        rows = node_orders[0]
+        wsum, wysum = float(w[rows].sum()), float(target[rows].sum())
+        buf, flags = np.empty((5, p * n)), np.empty((2, p * n), dtype=bool)
+        args = (XT, w, w * target, node_orders, wsum, wysum, lam, min_leaf, buf, flags)
+        weighted = _best_split(*args)
+        unit = _best_split(*args, np.arange(1.0, n + 1) + lam)
+        assert unit[1] == weighted[1]
+        assert [float(unit[k]).hex() for k in (0, 2)] == [float(weighted[k]).hex() for k in (0, 2)]
 
 
 def _pinned_fits():
