@@ -15,7 +15,6 @@ from .evaluation import (
     kl_divergence,
     mse,
     prediction_scatter,
-    uplift_curve,
     uplift_curve_true,
 )
 from .estimators import (
@@ -108,7 +107,6 @@ __all__ = [
     "split",
     "stratified_ate",
     "t_learner",
-    "uplift_curve",
     "uplift_curve_true",
     "write_csv",
     "x_learner",

@@ -126,11 +126,14 @@ def _cmd_compare(args) -> int:
     reports = []
     for path in args.reports:
         try:
-            reports.append(json.loads(Path(path).read_text(encoding="utf-8")))
+            report = json.loads(Path(path).read_text(encoding="utf-8"))
         except OSError as exc:
             raise CausetError(f"cannot read report {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise CausetError(f"report {path} is not valid JSON: {exc}") from exc
+        if not isinstance(report, dict):
+            raise CausetError(f"report {path} is not a JSON object")
+        reports.append(report)
     comparison = pipeline.compare_report(reports)
     if args.format == "machine":
         sys.stdout.write(report_to_json(comparison))
@@ -194,7 +197,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CausetError, OSError) as exc:
+    except (CausetError, OSError, ValueError) as exc:
         block = {"error": {"type": type(exc).__name__, "message": str(exc),
                            "command": args.command}}
         sys.stderr.write(json.dumps(block, indent=2, sort_keys=True) + "\n")

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import NoValidStrataError, SingleClassError
 from .frame import Frame
-from .learners import FittedModel, LearnerSpec, fit_linear, fit_logistic
+from .learners import FittedModel, fit_linear, fit_logistic
 
 DEFAULT_CLIP = 0.05
 
@@ -25,7 +25,7 @@ class EffectEstimate:
     """One method's average-effect estimate in outcome units.
 
     ``estimand`` is "ATE" or "ATT"; ``adjustment_set`` records the covariates
-    conditioned on; ``seed`` stays None for these deterministic estimators.
+    conditioned on.
     """
 
     method: str
@@ -34,7 +34,6 @@ class EffectEstimate:
     n_treated: int
     n_control: int
     adjustment_set: tuple[str, ...]
-    seed: int | None = None
 
     def __post_init__(self):
         if not np.isfinite(self.value):
@@ -71,11 +70,7 @@ def _treatment_vector(f: Frame, t: str) -> np.ndarray:
 
 
 def fit_propensity(
-    f: Frame,
-    t: str,
-    z: Sequence[str],
-    clip: float = DEFAULT_CLIP,
-    spec: LearnerSpec | None = None,
+    f: Frame, t: str, z: Sequence[str], clip: float = DEFAULT_CLIP
 ) -> PropensityModel:
     """Fit a logistic propensity model of ``t`` on the adjustment set ``z``.
 
@@ -84,18 +79,16 @@ def fit_propensity(
     """
     tv = _treatment_vector(f, t)
     X = f.numeric_matrix(z)
-    model = fit_logistic(X, tv, feature_names=tuple(z), spec=spec)
+    model = fit_logistic(X, tv, feature_names=tuple(z))
     return PropensityModel(model, tuple(z), clip)
 
 
-def regression_adjustment(
-    f: Frame, t: str, y: str, z: Sequence[str], spec: LearnerSpec | None = None
-) -> EffectEstimate:
+def regression_adjustment(f: Frame, t: str, y: str, z: Sequence[str]) -> EffectEstimate:
     """ATE as the treatment coefficient of an OLS of y on (t, z, intercept)."""
     tv = _treatment_vector(f, t)
     yv = f.column(y).values
     X = np.column_stack([tv, f.numeric_matrix(z)])
-    model = fit_linear(X, yv, feature_names=(t, *z), spec=spec)
+    model = fit_linear(X, yv, feature_names=(t, *z))
     effect = model.coefficient(t)
     return EffectEstimate(
         method="regression_adjustment",

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, SingleClassError
+from .errors import DimensionMismatchError
 
 KL_BINS = 50
 KL_SMOOTHING = 1e-9
@@ -59,11 +59,9 @@ def kl_divergence(p_sample, q_sample, bins: int = KL_BINS) -> float:
 class UpliftCurve:
     """Cumulative gain curve over the population ranked by predicted effect.
 
-    ``fractions[i]`` is (i+1)/n and ``gains[i]`` is the treated-minus-control
-    mean difference within the top i+1 units, scaled by i+1 (zero until both
-    arms have appeared in the prefix).  ``auuc`` is the trapezoidal area of
-    gain against fraction, divided by n so curves of different sizes are
-    comparable.
+    ``fractions[i]`` is (i+1)/n and ``gains[i]`` is the gain of the top i+1
+    units.  ``auuc`` is the trapezoidal area of gain against fraction,
+    divided by n so curves of different sizes are comparable.
     """
 
     fractions: np.ndarray
@@ -74,60 +72,20 @@ class UpliftCurve:
         self.fractions.setflags(write=False)
         self.gains.setflags(write=False)
 
-    @property
-    def points(self) -> list[tuple[float, float]]:
-        return [(float(f), float(g)) for f, g in zip(self.fractions, self.gains)]
-
-
-def uplift_curve(ite_pred, w, y) -> UpliftCurve:
-    """Build the uplift curve for predictions against observed arms/outcomes.
-
-    Units are ranked by predicted effect, descending, ties broken by row
-    index.  Depends on the predictions only through their ordering, so any
-    strictly monotone transformation leaves the curve unchanged.
-    """
-    pred = np.asarray(ite_pred, dtype=float)
-    wv = np.asarray(w, dtype=float)
-    yv = np.asarray(y, dtype=float)
-    if not (pred.shape == wv.shape == yv.shape) or pred.ndim != 1:
-        raise DimensionMismatchError("ite_pred, w, y must be equal-length vectors")
-    n = pred.size
-    if n == 0:
-        raise DimensionMismatchError("vectors must be non-empty")
-    if wv.min() == wv.max():
-        raise SingleClassError("uplift curve needs both arms present")
-
-    order = np.argsort(-pred, kind="stable")
-    ws = wv[order]
-    ys = yv[order]
-    n_t = np.cumsum(ws)
-    n_c = np.cumsum(1.0 - ws)
-    sum_t = np.cumsum(ws * ys)
-    sum_c = np.cumsum((1.0 - ws) * ys)
-    k = np.arange(1, n + 1, dtype=float)
-    both = (n_t > 0) & (n_c > 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        diff = sum_t / n_t - sum_c / n_c
-    gains = np.where(both, diff * k, 0.0)
-    fractions = k / n
-    auuc = float(np.trapezoid(gains, fractions) / n)
-    return UpliftCurve(fractions=fractions, gains=gains, auuc=auuc)
-
 
 def uplift_curve_true(ite_pred, tau_true) -> UpliftCurve:
     """Uplift curve accumulating *known* per-unit effects along the ranking.
 
     For synthetic data the true effect of every unit is available, so the
     gain at prefix k is the sum of the true effects of the k units ranked
-    highest by the prediction.  Unlike the observed-outcome curve this is
-    immune to confounded treatment assignment, and the true-effect ordering
-    dominates every other ordering by construction.
+    highest by the prediction.  Observed outcomes play no part, so the curve
+    is immune to confounded treatment assignment, and the true-effect
+    ordering dominates every other ordering by construction.
 
     Units with equal predictions carry no ranking information, so tied
     blocks contribute their mean effect per unit (the expected gain over
     tie orderings); a constant predictor thus scores exactly the diagonal
-    instead of a lucky permutation.  Same normalization as
-    :func:`uplift_curve`.
+    instead of a lucky permutation.
     """
     pred, tau = _pair(ite_pred, tau_true)
     n = pred.size

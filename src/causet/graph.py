@@ -128,10 +128,6 @@ class CausalGraph:
     def unobserved(self) -> frozenset[str]:
         return frozenset(n for n, r in self._roles.items() if r == "unobserved")
 
-    @property
-    def observed(self) -> frozenset[str]:
-        return frozenset(n for n, r in self._roles.items() if r != "unobserved")
-
     def parents(self, name: str) -> frozenset[str]:
         self.role(name)
         return self._parents[name]

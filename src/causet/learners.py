@@ -120,9 +120,6 @@ class _Tree:
             node = self.child.take(2 * node + (x <= self.threshold.take(node)))
         return self.value.take(node)
 
-    def n_nodes(self) -> int:
-        return len(self.feature)
-
 
 def _best_split(
     XT: np.ndarray,
@@ -426,7 +423,7 @@ class FittedModel:
             lines.append(f"base_value: {self._base_value!r}")
             lines.append(f"trees: {len(self._trees)}")
             for ti, tree in enumerate(self._trees):
-                for i in range(tree.n_nodes()):
+                for i in range(len(tree.feature)):
                     if tree.feature[i] < 0:
                         lines.append(f"tree {ti} node {i}: leaf {tree.value[i]!r}")
                     else:
@@ -439,13 +436,14 @@ class FittedModel:
 
 
 def _sigmoid(eta: np.ndarray) -> np.ndarray:
+    """The logistic function of ``eta`` clipped to [-35, 35], without overflow.
+
+    ``exp`` only ever sees ``-|eta|``: ``1 / (1 + ex)`` for a non-negative
+    logit and ``ex / (1 + ex)`` for a negative one.
+    """
     eta = np.clip(eta, -35.0, 35.0)
-    out = np.empty_like(eta)
-    pos = eta >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
-    ex = np.exp(eta[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    ex = np.exp(-np.abs(eta))
+    return np.where(eta >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
 
 
 def _check_xy(X, y, w=None, feature_names=None):

@@ -15,8 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import SingleClassError
-from .estimators import PropensityModel
+from .estimators import PropensityModel, _treatment_vector
 from .frame import Frame
 from .learners import FittedModel, LearnerSpec, fit_learner
 
@@ -97,9 +96,7 @@ def _cate_model(learner, base, f, X, z, t, models, pm=None) -> CateModel:
 def _setup(f: Frame, t: str, y: str, z: Sequence[str], base: LearnerSpec):
     if base.kind not in ("linear", "gbt"):
         raise ValueError(f"base learner must be a regression kind, got {base.kind!r}")
-    tv = f.binary_vector(t)
-    if tv.min() == tv.max():
-        raise SingleClassError(f"treatment column {t!r} has a single class")
+    tv = _treatment_vector(f, t)
     yv = f.column(y).values
     X = f.numeric_matrix(z)
     return tv, yv, X

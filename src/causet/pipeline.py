@@ -91,6 +91,7 @@ ESTIMATOR_NAMES = tuple(ESTIMATORS)
 REFUTER_NAMES = tuple(REFUTERS)
 LEARNER_NAMES = tuple(metalearners.EFFECTS)
 BASE_NAMES = ("linear", "gbt")
+TRAIN_FRACTION = 0.8  # share of each synthetic validation set the learners fit
 VALIDATION_COMBOS = tuple(
     (learner, base) for learner in LEARNER_NAMES for base in BASE_NAMES
 )
@@ -281,7 +282,7 @@ def _effect_row(est: EffectEstimate, control_mean: float | None) -> dict:
         "n_treated": est.n_treated,
         "n_control": est.n_control,
         "adjustment_set": list(est.adjustment_set),
-        "seed": est.seed,
+        "seed": None,  # no estimator draws at random; the key keeps the schema
     }
 
 
@@ -436,15 +437,14 @@ def run_validation(
     sigma: float = 1.0,
     seed: int = 0,
     out_dir: str | Path | None = None,
-    train_fraction: float = 0.8,
-    gbt_spec: LearnerSpec | None = None,
 ) -> dict:
     """Fit all eight learner/base combos on synthetic sets and score them.
 
-    Per repetition: generate a fresh synthetic set, split train/validation,
-    fit every combo on the train part, then record train and validation MSE
-    of predicted effects against the true ones, validation KL divergence and
-    AUUC, the model ATE, and its error against the repetition's true mean
+    Per repetition: generate a fresh synthetic set, split off a
+    ``TRAIN_FRACTION`` train part and a validation part, fit every combo on
+    the train part, then record train and validation MSE of predicted
+    effects against the true ones, validation KL divergence and AUUC, the
+    model ATE, and its error against the repetition's true mean
     effect.  Aggregates are means and standard deviations across repetitions.
 
     Because ground truth is available here, ``kld_val`` measures how far the
@@ -456,9 +456,7 @@ def run_validation(
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
-    base_specs = {"linear": LearnerSpec("linear"), "gbt": gbt_spec or LearnerSpec("gbt")}
-    if base_specs["gbt"].kind != "gbt":
-        raise ValueError("gbt_spec must have kind 'gbt'")
+    base_specs = {b: LearnerSpec(b) for b in BASE_NAMES}
     rows = []
     plot_files: dict = {}
     out = Path(out_dir) if out_dir is not None else None
@@ -469,7 +467,7 @@ def run_validation(
         rep_seed = derive_seed(seed, rep)
         dataset = synth.generate(n=n, sigma=sigma, seed=derive_seed(rep_seed, 0))
         frame = dataset.to_frame()
-        train, val = split(frame, train_fraction, seed=derive_seed(rep_seed, 1))
+        train, val = split(frame, TRAIN_FRACTION, seed=derive_seed(rep_seed, 1))
         z = dataset.feature_names
         pm = fit_propensity(train, "w", z)
         tau_mean = float(dataset.tau_true.mean())
@@ -543,7 +541,7 @@ def run_validation(
             "repetitions": repetitions,
             "sigma": sigma,
             "seed": seed,
-            "train_fraction": train_fraction,
+            "train_fraction": TRAIN_FRACTION,
         },
         "rows": rows,
         "aggregate": aggregate,
@@ -558,8 +556,8 @@ def compare_report(reports: Sequence[Mapping]) -> dict:
     """Consolidate query reports into one (query, method) table.
 
     Raises :class:`SchemaMismatchError` when report versions differ from
-    this module's.  Reports without any effect rows are skipped with a
-    warning.
+    this module's or an effect or refutation row lacks a key the table
+    reads.  Reports without any effect rows are skipped with a warning.
     """
     if not reports:
         raise ValueError("need at least one report")
@@ -580,22 +578,23 @@ def compare_report(reports: Sequence[Mapping]) -> dict:
             continue
         by_method: dict[str, list[str]] = {}
         for r in report.get("refutations", []):
-            by_method.setdefault(r["target_method"], []).append(
-                f"{r['refuter']}={r['verdict']}"
-            )
+            target, refuter, verdict = _fields(
+                r, ("target_method", "refuter", "verdict"), f"report {qname!r} refutation row")
+            by_method.setdefault(target, []).append(f"{refuter}={verdict}")
         for row in effects:
-            rows.append(
-                {
-                    "query": qname,
-                    "method": row["method"],
-                    "estimand": row["estimand"],
-                    "effect": row["effect"],
-                    "relative_effect": row["relative_effect"],
-                    "refutations": " ".join(by_method.get(row["method"], [])),
-                }
-            )
+            values = _fields(row, columns[1:-1], f"report {qname!r} effect row")
+            rows.append({"query": qname, **dict(zip(columns[1:-1], values)),
+                         "refutations": " ".join(by_method.get(values[0], []))})
     return {"report_version": REPORT_VERSION, "kind": "comparison",
             "columns": list(columns), "rows": rows}
+
+
+def _fields(row, keys: Sequence[str], where: str) -> list:
+    """``row[key]`` for each key; :class:`SchemaMismatchError` naming a missing one."""
+    for key in keys:
+        if not isinstance(row, Mapping) or key not in row:
+            raise SchemaMismatchError(f"{where} lacks key {key!r}")
+    return [row[k] for k in keys]
 
 
 def render_table(columns: Sequence[str], rows: Sequence[Mapping]) -> str:

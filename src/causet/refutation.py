@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import EmptyFrameError
 from .frame import Column, Frame
+from .learners import _sigmoid
 from .rng import derive_seed, make_rng
 
 DEFAULT_REPETITIONS = 100
@@ -202,11 +203,6 @@ def refute_subset(
         "data_subset", task, f, repetitions, seed,
         lambda rng: (f.subset_rows(np.sort(rng.permutation(n)[:m])),), _stable_judge,
     )
-
-
-def _sigmoid(eta: np.ndarray) -> np.ndarray:
-    eta = np.clip(eta, -35.0, 35.0)
-    return 1.0 / (1.0 + np.exp(-eta))
 
 
 def _simulate_confounder(rng, tv: np.ndarray, strength_t: float, base_p: float) -> np.ndarray:

@@ -412,16 +412,12 @@ def tree_predict_levelwise(tree: _Tree, X: np.ndarray) -> np.ndarray:
     return self.value[node]
 
 
-def uplift_gains_bruteforce(pred, w, y):
-    """Per-prefix gains recomputed from scratch for every k."""
-    order = sorted(range(len(pred)), key=lambda i: (-pred[i], i))
-    gains = []
-    for k in range(1, len(pred) + 1):
-        head = order[:k]
-        yt = [y[i] for i in head if w[i] == 1]
-        yc = [y[i] for i in head if w[i] == 0]
-        if not yt or not yc:
-            gains.append(0.0)
-        else:
-            gains.append((sum(yt) / len(yt) - sum(yc) / len(yc)) * k)
-    return gains
+def sigmoid_two_branch(eta: np.ndarray) -> np.ndarray:
+    """The logistic function as two masked branches, one ``exp`` each."""
+    eta = np.clip(eta, -35.0, 35.0)
+    out = np.empty_like(eta)
+    pos = eta >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
+    ex = np.exp(eta[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out

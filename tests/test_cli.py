@@ -192,6 +192,26 @@ class TestCompareCommand:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "CausetError"
 
+    def test_report_not_an_object_errors(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[]", encoding="utf-8")
+        assert main(["compare", str(path)]) == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "CausetError"
+        assert str(path) in err["message"]
+
+    def test_effect_row_without_method_errors(self, workdir, tmp_path, capsys):
+        assert main(["estimate", str(workdir / "query.spec"), "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        report = json.loads((tmp_path / "report.json").read_text())
+        del report["effects"][0]["method"]
+        path = tmp_path / "no_method.json"
+        path.write_text(json.dumps(report), encoding="utf-8")
+        assert main(["compare", str(path)]) == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "SchemaMismatchError"
+        assert "'method'" in err["message"]
+
 
 class TestErrorPaths:
     def test_unidentifiable_graph_exits_nonzero(self, workdir, tmp_path, capsys):
@@ -243,6 +263,22 @@ class TestErrorPaths:
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["type"] == "ParseError"
         assert name in err["message"]
+
+
+class TestBadFlags:
+    """A flag value the library rejects gives exit 1 and the JSON error block."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["validate", "--n", "200", "--repetitions", "0"], "repetitions"),
+        (["validate", "--n", "200", "--repetitions", "1", "--sigma", "-1"], "sigma"),
+        (["synth", "--n", "10", "--sigma", "-1"], "sigma"),
+    ], ids=["validate_repetitions", "validate_sigma", "synth_sigma"])
+    def test_value_error(self, tmp_path, capsys, argv, message):
+        assert main([*argv, "--out", str(tmp_path)]) == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ValueError"
+        assert message in err["message"]
+        assert err["command"] == argv[0]
 
 
 class TestOsErrors:

@@ -1,18 +1,16 @@
 import numpy as np
 import pytest
 
-from causet.errors import DimensionMismatchError, SingleClassError
+from causet.errors import DimensionMismatchError
 from causet.evaluation import (
     kl_divergence,
     mse,
     prediction_scatter,
-    uplift_curve,
     uplift_curve_true,
 )
 from causet.rng import make_rng
-from causet.synth import generate
 
-from oracles import mse_loop, uplift_gains_bruteforce
+from oracles import mse_loop
 
 
 class TestMse:
@@ -69,75 +67,6 @@ class TestKlDivergence:
         truth = np.linspace(0, 1, 1000)
         pred = np.full(1000, 0.5)
         assert kl_divergence(truth, pred) > np.log(1e6)
-
-
-class TestUpliftCurve:
-    def test_worked_example(self):
-        w = [1, 0, 1, 0]
-        y = [2.0, 0.0, 1.0, 1.0]
-        pred = [4.0, 3.0, 2.0, 1.0]
-        curve = uplift_curve(pred, w, y)
-        # hand computation: prefix treated/control means
-        assert curve.gains.tolist() == [0.0, 4.0, 4.5, 4.0]
-        assert curve.fractions.tolist() == [0.25, 0.5, 0.75, 1.0]
-        assert curve.auuc == pytest.approx(0.65625)
-
-    def test_matches_bruteforce_prefix_oracle(self):
-        rng = make_rng(5)
-        for _ in range(30):
-            n = int(rng.integers(2, 80))
-            w = (rng.uniform(size=n) < 0.5).astype(float)
-            if w.min() == w.max():
-                continue
-            y = rng.standard_normal(n)
-            pred = np.round(rng.standard_normal(n), 1)  # coarse -> ties exercised
-            curve = uplift_curve(pred, w, y)
-            assert curve.gains == pytest.approx(
-                np.array(uplift_gains_bruteforce(pred, w, y)), abs=1e-10
-            )
-
-    def test_constant_outcome_zero_gain(self):
-        w = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
-        y = np.full(6, 3.0)
-        curve = uplift_curve(np.arange(6.0)[::-1], w, y)
-        assert np.abs(curve.gains[1:]).max() < 1e-12
-
-    def test_final_gain_is_overall_difference(self):
-        rng = make_rng(6)
-        n = 200
-        w = (rng.uniform(size=n) < 0.4).astype(float)
-        y = rng.standard_normal(n)
-        curve = uplift_curve(rng.standard_normal(n), w, y)
-        expected = (y[w == 1].mean() - y[w == 0].mean()) * n
-        assert curve.gains[-1] == pytest.approx(expected, abs=1e-9)
-
-    def test_monotone_transform_invariance(self):
-        rng = make_rng(7)
-        n = 100
-        w = (rng.uniform(size=n) < 0.5).astype(float)
-        y = rng.standard_normal(n)
-        pred = rng.standard_normal(n)
-        a = uplift_curve(pred, w, y)
-        b = uplift_curve(np.exp(3 * pred), w, y)
-        assert a.auuc == b.auuc
-        assert np.array_equal(a.gains, b.gains)
-
-    def test_single_arm_rejected(self):
-        with pytest.raises(SingleClassError):
-            uplift_curve([1.0, 2.0], [1, 1], [0.0, 0.0])
-
-    def test_oracle_beats_random_on_randomized_arms(self):
-        # unconfounded assignment: the true-effect ordering should win
-        wins = 0
-        for seed in range(10):
-            ss = generate(n=2000, sigma=1.0, seed=seed)
-            rng = make_rng(900 + seed)
-            w = (rng.uniform(size=ss.n) < 0.5).astype(float)
-            y = ss.b_true + (w - 0.5) * ss.tau_true + rng.standard_normal(ss.n)
-            auuc_oracle = uplift_curve(ss.tau_true, w, y).auuc
-            auuc_rand = uplift_curve(rng.standard_normal(ss.n), w, y).auuc
-            wins += auuc_oracle > auuc_rand
-        assert wins >= 9
 
 
 class TestUpliftCurveTrue:

@@ -1,7 +1,9 @@
-"""The runtime dependency stays numpy only.
+"""The runtime dependency stays numpy only, and the public names resolve.
 
 Every import in the package is relative, numpy, or from the standard
-library, so a new third-party import turns this test red.
+library, so a new third-party import turns this test red.  Every name in
+``causet.__all__`` must exist and be listed once, so an export left behind
+by a removed function turns it red too.
 """
 
 import ast
@@ -32,3 +34,11 @@ def test_imports_are_relative_numpy_or_stdlib(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     allowed = {"numpy", *sys.stdlib_module_names}
     assert sorted(set(imported_modules(tree)) - allowed) == []
+
+
+def test_public_names_resolve_once():
+    import causet
+
+    assert len(causet.__all__) == len(set(causet.__all__))
+    missing = [name for name in causet.__all__ if not hasattr(causet, name)]
+    assert missing == []

@@ -12,6 +12,7 @@ from causet.learners import (
     LearnerSpec,
     _best_split,
     _grow_tree,
+    _sigmoid,
     _Tree,
     fit_gbt,
     fit_learner,
@@ -24,6 +25,7 @@ from oracles import (
     grow_tree_per_feature,
     logistic_loglik,
     normal_equations_fit,
+    sigmoid_two_branch,
     tree_predict_levelwise,
 )
 
@@ -125,6 +127,27 @@ class TestFitLogistic:
         y = np.array([1.0, 0.0, 0.0, 0.0])
         m = fit_logistic(np.empty((4, 0)), y)
         assert m.predict(np.empty((4, 0)))[0] == pytest.approx(0.25, abs=1e-6)
+
+
+class TestSigmoid:
+    """The one-``exp`` sigmoid has the bits of the two-branch form."""
+
+    EDGES = [0.0, -0.0, 35.0, -35.0, 35.5, -35.5, 1e300, -1e300, np.inf, -np.inf,
+             5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308]
+
+    @staticmethod
+    def bits(a):
+        return np.asarray(a, dtype=float).view(np.uint64)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=True), min_size=1, max_size=50))
+    def test_bit_equal_to_two_branch(self, values):
+        eta = np.array(values + self.EDGES)
+        assert np.array_equal(self.bits(_sigmoid(eta)), self.bits(sigmoid_two_branch(eta)))
+
+    def test_nan_stays_nan(self):
+        out = _sigmoid(np.array([np.nan, 0.0, -np.nan]))
+        assert np.isnan(out[0]) and np.isnan(out[2]) and out[1] == 0.5
 
 
 class TestFitGbt:

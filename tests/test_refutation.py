@@ -1,5 +1,6 @@
 import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy import stats
 
 from causet.estimators import fit_propensity, ipw_ate, regression_adjustment
 from causet.frame import Frame
+from causet.graph import backdoor_sets, parse_graph
 from causet.refutation import (
     EstimationTask,
     _normal_tail_p,
@@ -19,6 +21,8 @@ from causet.refutation import (
 )
 from causet.rng import make_rng
 from causet.synth import generate
+
+SAMPLE_QUERIES = Path(__file__).parent.parent / "sample_queries"
 
 
 def make_frame(t, y, **covs):
@@ -287,6 +291,30 @@ class TestOnSyntheticGroundTruth:
         assert abs(placebo.mean_refuted) < 0.25 * abs(placebo.original_effect)
         subset = refute_subset(task, f, repetitions=15, seed=44)
         assert subset.relative_change < 0.10
+
+    def test_wrong_graph_passes_every_refuter(self):
+        # The refuters cannot see a wrong graph.  With x0 -> w and x1 -> w left
+        # out, x0 and x1 look outcome-only and the adjustment set drops them:
+        # both estimators land near 0.88 against a true mean effect near 0.50,
+        # yet every pass/fail refuter passes, since none of them tests the graph.
+        text = (SAMPLE_QUERIES / "synthetic.graph").read_text(encoding="utf-8")
+        g = parse_graph(text.replace("x0 -> w; ", "").replace("x1 -> w; ", ""))
+        z = backdoor_sets(g, "w", "y")[0]
+        assert z == ("x2", "x3", "x4")
+        ss = generate(n=5000, seed=7)
+        f = ss.to_frame()
+        truth = float(ss.tau_true.mean())
+        ipw = ipw_ate(f, "w", "y", fit_propensity(f, "w", z)).value
+        task = EstimationTask(
+            estimate=lambda fr, zz: regression_adjustment(fr, "w", "y", zz).value,
+            treatment="w",
+            outcome="y",
+            adjustment=z,
+        )
+        assert abs(task.run(f) - truth) > 0.3 and abs(ipw - truth) > 0.3
+        for refute, seed in ((refute_placebo, 1), (refute_random_common_cause, 2),
+                             (refute_subset, 3)):
+            assert refute(task, f, seed=seed).verdict == "pass"
 
 
 # Each refuter with the extra arguments fixed: fn(task, frame, repetitions, seed).
