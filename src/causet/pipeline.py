@@ -47,6 +47,7 @@ from .frame import Frame, LabelRule, derive_binary_label, impute_mean, load_csv,
 from .graph import backdoor_sets, parse_graph
 from .learners import LearnerSpec
 from .refutation import (
+    DEFAULT_REPETITIONS,
     EstimationTask,
     refute_placebo,
     refute_random_common_cause,
@@ -112,9 +113,9 @@ class QuerySpec:
     label_rules: tuple[LabelRule, ...] = ()
     name: str = "query"
     context: str = ""
-    propensity_clip: float = DEFAULT_CLIP
     strata: int = 5
-    refuter_repetitions: int = 100
+    refuter_repetitions: int = DEFAULT_REPETITIONS
+    propensity_clip: float = DEFAULT_CLIP
     subset_fraction: float = 0.8
     confounder_strength_t: float = 0.5
     confounder_strength_y: float = 0.5
@@ -146,6 +147,8 @@ class QuerySpec:
 def parse_query_spec(path: str | Path, default_seed: int | None = 0) -> QuerySpec:
     """Parse a query-spec file; relative paths resolve against its directory.
 
+    Keys are the :class:`QuerySpec` fields, each read by its default's type
+    (a tuple is a comma list; a field with no default is required).
     ``default_seed`` is the seed when the file has no ``seed`` key; pass
     None to leave ``seed`` None then, so the caller can tell.
     """
@@ -179,50 +182,31 @@ def parse_query_spec(path: str | Path, default_seed: int | None = 0) -> QuerySpe
         else:
             values[key] = value
 
-    def split_list(key: str) -> list[str]:
+    kwargs: dict = {"label_rules": tuple(rules), "seed": default_seed, "name": path.stem}
+    for field in dataclasses.fields(QuerySpec):
+        key, default = field.name, field.default
+        if key not in values or key == "label_rules":  # label_rules: label_rule lines only
+            if default is dataclasses.MISSING:
+                raise ParseError(f"{path}: missing required key {key!r}")
+            continue
         raw = values.pop(key)
-        return [tok.strip() for tok in raw.split(",") if tok.strip()]
-
-    kwargs: dict = {"label_rules": tuple(rules), "seed": default_seed}
-    for key in ("data", "graph"):
-        if key not in values:
-            raise ParseError(f"{path}: missing required key {key!r}")
-        kwargs[key] = str((base_dir / values.pop(key)))
-    for key in ("treatment", "outcome"):
-        if key not in values:
-            raise ParseError(f"{path}: missing required key {key!r}")
-        kwargs[key] = values.pop(key)
-    if "estimators" in values:
-        kwargs["estimators"] = tuple(split_list("estimators"))
-    if "metalearners" in values:
-        combos = []
-        for tok in split_list("metalearners"):
-            parts = tok.split(":")
-            if len(parts) != 2:
-                raise ParseError(f"{path}: metalearner {tok!r} must be '<learner>:<base>'")
-            combos.append((parts[0], parts[1]))
-        kwargs["metalearners"] = tuple(combos)
-    if "refuters" in values:
-        kwargs["refuters"] = tuple(split_list("refuters"))
-    for key, conv in (
-        ("seed", int),
-        ("strata", int),
-        ("refuter_repetitions", int),
-        ("propensity_clip", float),
-        ("subset_fraction", float),
-        ("confounder_strength_t", float),
-        ("confounder_strength_y", float),
-    ):
-        if key in values:
+        if key in ("data", "graph"):
+            kwargs[key] = str(base_dir / raw)
+        elif isinstance(default, tuple):
+            items = tuple(tok.strip() for tok in raw.split(",") if tok.strip())
+            if key == "metalearners":
+                for tok in items:
+                    if tok.count(":") != 1:
+                        raise ParseError(f"{path}: metalearner {tok!r} must be '<learner>:<base>'")
+                items = tuple(tuple(tok.split(":")) for tok in items)
+            kwargs[key] = items
+        elif isinstance(default, (int, float)):
             try:
-                kwargs[key] = conv(values.pop(key))
+                kwargs[key] = type(default)(raw)
             except ValueError:
-                raise ParseError(f"{path}: key {key!r} needs a {conv.__name__}") from None
-    for key in ("name", "context"):
-        if key in values:
-            kwargs[key] = values.pop(key)
-    if "name" not in kwargs:
-        kwargs["name"] = path.stem
+                raise ParseError(f"{path}: key {key!r} needs a {type(default).__name__}") from None
+        else:
+            kwargs[key] = raw
     if values:
         raise ParseError(f"{path}: unknown keys {sorted(values)}")
     return QuerySpec(**kwargs)
@@ -232,30 +216,15 @@ def resolved_spec(spec: QuerySpec) -> dict:
     """The full spec, defaults included, as a plain JSON-ready mapping."""
     out = dataclasses.asdict(spec)
     out["metalearners"] = [f"{l}:{b}" for l, b in spec.metalearners]
-    out["label_rules"] = [dataclasses.asdict(r) for r in spec.label_rules]
     return out
 
 
 # -- shared plumbing -----------------------------------------------------------
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, float) and value != value:  # NaN has no JSON spelling
-        return None
-    return value
-
-
 def report_to_json(report: Mapping) -> str:
     """Canonical JSON rendering; identical reports give identical bytes."""
-    return json.dumps(_jsonable(dict(report)), indent=2, sort_keys=True) + "\n"
+    return json.dumps(dict(report), indent=2, sort_keys=True) + "\n"
 
 
 def _write_table(path: Path, fields: Sequence[str], rows: Iterable[Mapping]) -> None:
@@ -456,7 +425,6 @@ def run_validation(
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
-    base_specs = {b: LearnerSpec(b) for b in BASE_NAMES}
     rows = []
     plot_files: dict = {}
     out = Path(out_dir) if out_dir is not None else None
@@ -476,7 +444,7 @@ def run_validation(
 
         t_fits: dict = {}
         for learner, base in VALIDATION_COMBOS:
-            cate = _fit_metalearner(learner, base_specs[base], train, "w", "y", z, pm, t_fits)
+            cate = _fit_metalearner(learner, LearnerSpec(base), train, "w", "y", z, pm, t_fits)
             ite_val = cate.predict_ite(val)
             scatter = evaluation.prediction_scatter(ite_val, tau_val)
             curve = evaluation.uplift_curve_true(ite_val, tau_val)
@@ -556,8 +524,8 @@ def compare_report(reports: Sequence[Mapping]) -> dict:
     """Consolidate query reports into one (query, method) table.
 
     Raises :class:`SchemaMismatchError` when report versions differ from
-    this module's or an effect or refutation row lacks a key the table
-    reads.  Reports without any effect rows are skipped with a warning.
+    this module's, a report part has the wrong JSON type or a row lacks a
+    key the table reads.  Reports without effect rows are skipped with a warning.
     """
     if not reports:
         raise ValueError("need at least one report")
@@ -571,13 +539,19 @@ def compare_report(reports: Sequence[Mapping]) -> dict:
             )
         if report.get("kind") != "query":
             raise SchemaMismatchError("compare consumes query reports only")
-        qname = report.get("query", {}).get("name", "query")
-        effects = report.get("effects", [])
+        query = report.get("query", {})
+        if not isinstance(query, Mapping):
+            raise SchemaMismatchError("report key 'query' must be an object")
+        qname = query.get("name", "query")
+        effects, refutations = report.get("effects", []), report.get("refutations", [])
+        for key, part in (("effects", effects), ("refutations", refutations)):
+            if not isinstance(part, list):
+                raise SchemaMismatchError(f"report {qname!r} key {key!r} must be a list")
         if not effects:
             warnings.warn(f"report {qname!r} has no effect rows; omitted", stacklevel=2)
             continue
         by_method: dict[str, list[str]] = {}
-        for r in report.get("refutations", []):
+        for r in refutations:
             target, refuter, verdict = _fields(
                 r, ("target_method", "refuter", "verdict"), f"report {qname!r} refutation row")
             by_method.setdefault(target, []).append(f"{refuter}={verdict}")
@@ -590,10 +564,12 @@ def compare_report(reports: Sequence[Mapping]) -> dict:
 
 
 def _fields(row, keys: Sequence[str], where: str) -> list:
-    """``row[key]`` for each key; :class:`SchemaMismatchError` naming a missing one."""
+    """``row[key]`` for each key, the first (the join key) a string; else a SchemaMismatchError."""
     for key in keys:
         if not isinstance(row, Mapping) or key not in row:
             raise SchemaMismatchError(f"{where} lacks key {key!r}")
+    if not isinstance(row[keys[0]], str):
+        raise SchemaMismatchError(f"{where} key {keys[0]!r} must be a string")
     return [row[k] for k in keys]
 
 

@@ -212,6 +212,29 @@ class TestCompareCommand:
         assert err["type"] == "SchemaMismatchError"
         assert "'method'" in err["message"]
 
+    @pytest.mark.parametrize("part, value, message", [
+        ("query", [], "key 'query' must be an object"),
+        ("effects", 3, "key 'effects' must be a list"),
+        ("refutations", 5, "key 'refutations' must be a list"),
+        ("refutations", [{"target_method": ["ipw"], "refuter": "placebo_treatment",
+                          "verdict": "pass"}], "key 'target_method' must be a string"),
+        ("effects", [{"method": ["ipw"], "estimand": "ATE", "effect": 0.1,
+                      "relative_effect": None}], "key 'method' must be a string"),
+    ], ids=["query_list", "effects_int", "refutations_int", "target_method_list",
+            "method_list"])
+    def test_part_of_wrong_json_type_errors(self, workdir, tmp_path, capsys, part, value,
+                                            message):
+        assert main(["estimate", str(workdir / "query.spec"), "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        report = json.loads((tmp_path / "report.json").read_text())
+        report[part] = value
+        path = tmp_path / "wrong_type.json"
+        path.write_text(json.dumps(report), encoding="utf-8")
+        assert main(["compare", str(path)]) == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "SchemaMismatchError"
+        assert message in err["message"]
+
 
 class TestErrorPaths:
     def test_unidentifiable_graph_exits_nonzero(self, workdir, tmp_path, capsys):

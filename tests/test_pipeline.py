@@ -1,6 +1,9 @@
 import dataclasses
 import hashlib
 import json
+import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +21,8 @@ from causet.pipeline import (
     run_validation,
 )
 from causet.synth import generate
+
+REPO = Path(__file__).resolve().parents[1]
 
 GRAPH = """
 # every covariate confounds treatment and outcome
@@ -98,6 +103,111 @@ class TestQuerySpec:
         spec = parse_query_spec(p)
         assert [(r.source, r.target) for r in spec.label_rules] == [
             ("raw", "hi"), ("other", "hy")]
+
+
+VALID_SPEC = """data = a.csv
+graph = g.graph
+treatment = t
+outcome = y
+"""
+
+
+class TestSpecMessages:
+    """One fault per spec, each with its exact message."""
+
+    def message(self, tmp_path, text: str) -> str:
+        p = tmp_path / "q.spec"
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            parse_query_spec(p)
+        return str(info.value).replace(str(p), "SPEC")
+
+    @pytest.mark.parametrize("key", ["data", "graph", "treatment", "outcome"])
+    def test_missing_required_key(self, tmp_path, key):
+        text = "".join(line + "\n" for line in VALID_SPEC.splitlines()
+                       if not line.startswith(key))
+        assert self.message(tmp_path, text) == f"SPEC: missing required key {key!r}"
+
+    @pytest.mark.parametrize("line, message", [
+        ("strata = 2.5", "SPEC: key 'strata' needs a int"),
+        ("propensity_clip = x", "SPEC: key 'propensity_clip' needs a float"),
+        ("metalearners = T-gbt", "SPEC: metalearner 'T-gbt' must be '<learner>:<base>'"),
+        ("bogus = 1", "SPEC: unknown keys ['bogus']"),
+        ("label_rules = a", "SPEC: unknown keys ['label_rules']"),
+        ("treatment = u", "SPEC:5: duplicate key 'treatment'"),
+        ("label_rule = t of raw", "SPEC:5: label_rule must be '<target> from <source>'"),
+    ], ids=["int", "float", "metalearner", "unknown", "label_rules", "duplicate",
+            "label_rule"])
+    def test_single_fault(self, tmp_path, line, message):
+        assert self.message(tmp_path, VALID_SPEC + line + "\n") == message
+
+    def test_conversion_errors_in_declared_order(self, tmp_path):
+        text = VALID_SPEC + "propensity_clip = y\nstrata = x\n"
+        assert self.message(tmp_path, text) == "SPEC: key 'strata' needs a int"
+
+
+class TestReadmeSpecTable:
+    """README's "Query-spec files" table lists exactly the QuerySpec fields."""
+
+    def rows(self):
+        text = (REPO / "README.md").read_text(encoding="utf-8")
+        section = text.split("## Query-spec files", 1)[1].split("\n## ", 1)[0]
+        for line in section.splitlines():
+            if line.startswith("| `"):
+                cells = [c.strip() for c in line.strip("|").split("|")]
+                yield re.findall(r"`([^`]+)`", cells[0]), cells[2]
+
+    def test_keys_are_fields(self):
+        fields = {f.name: f.default for f in dataclasses.fields(QuerySpec)}
+        listed = set()
+        for keys, default_cell in self.rows():
+            for key in keys:
+                key = "label_rules" if key == "label_rule" else key
+                assert key in fields
+                listed.add(key)
+                if isinstance(fields[key], (int, float)):
+                    assert default_cell == repr(fields[key]), key
+        assert listed == set(fields)
+
+
+def _as_lists(value):
+    if isinstance(value, dict):
+        return {k: _as_lists(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_as_lists(v) for v in value]
+    return value
+
+
+def _assert_json_native(value, where="report"):
+    if isinstance(value, dict):
+        for k, v in value.items():
+            assert type(k) is str, f"{where}: key {k!r}"
+            _assert_json_native(v, f"{where}.{k}")
+    elif isinstance(value, (list, tuple)):
+        for i, v in enumerate(value):
+            _assert_json_native(v, f"{where}[{i}]")
+    else:
+        assert type(value) in (str, int, float, bool, type(None)), f"{where}: {type(value)}"
+        assert not (type(value) is float and math.isnan(value)), f"{where}: NaN"
+
+
+class TestReportsJsonNative:
+    """Reports are dumped as built, so every part must already be plain JSON."""
+
+    def check(self, rep):
+        _assert_json_native(rep)
+        assert json.loads(report_to_json(rep)) == _as_lists(rep)
+
+    def test_query_every_method_and_refuter(self, query_dir):
+        spec = dataclasses.replace(parse_query_spec(query_dir / "query.spec"),
+                                   refuters=pipeline.REFUTER_NAMES, refuter_repetitions=3)
+        self.check(run_query(spec))
+
+    def test_windows_sample(self):
+        self.check(run_query(parse_query_spec(REPO / "sample_queries" / "windows.spec")))
+
+    def test_validation(self):
+        self.check(run_validation(n=500, repetitions=1))
 
 
 @pytest.fixture(scope="module")
