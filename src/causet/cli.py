@@ -22,10 +22,11 @@ from .frame import write_csv
 from .pipeline import parse_query_spec, report_to_json
 
 
-def _resolve_seed(flag: int | None) -> int:
-    """``--seed`` when given, else ``CAUSET_SEED``, else 0."""
-    if flag is not None:
-        return flag
+def _resolve_seed(flag: int | None, spec_seed: int | None = None) -> int:
+    """``--seed``, else the spec's ``seed``, else ``CAUSET_SEED`` (read only then), else 0."""
+    for seed in (flag, spec_seed):
+        if seed is not None:
+            return seed
     raw = os.environ.get("CAUSET_SEED")
     if raw is None:
         return 0
@@ -36,14 +37,9 @@ def _resolve_seed(flag: int | None) -> int:
 
 
 def _load_spec(path: str, seed_flag: int | None):
-    """The query spec; its own ``seed`` ranks below ``--seed``, above ``CAUSET_SEED``.
-
-    ``CAUSET_SEED`` is read only when it decides the seed.
-    """
+    """The query spec, its seed resolved by :func:`_resolve_seed`."""
     spec = parse_query_spec(path, default_seed=None)
-    if seed_flag is not None or spec.seed is None:
-        spec = dataclasses.replace(spec, seed=_resolve_seed(seed_flag))
-    return spec
+    return dataclasses.replace(spec, seed=_resolve_seed(seed_flag, spec.seed))
 
 
 def _emit_report(report: dict, out_dir: Path, filename: str, fmt: str) -> None:
@@ -126,7 +122,7 @@ def _cmd_compare(args) -> int:
     reports = []
     for path in args.reports:
         try:
-            report = json.loads(Path(path).read_text(encoding="utf-8"))
+            report = json.loads(Path(path).read_text(encoding="utf-8-sig"))
         except OSError as exc:
             raise CausetError(f"cannot read report {path}: {exc}") from exc
         except json.JSONDecodeError as exc:

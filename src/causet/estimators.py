@@ -18,6 +18,7 @@ from .frame import Frame
 from .learners import FittedModel, fit_linear, fit_logistic
 
 DEFAULT_CLIP = 0.05
+DEFAULT_STRATA = 5
 
 
 @dataclass(frozen=True)
@@ -182,7 +183,7 @@ def ipw_ate(f: Frame, t: str, y: str, pm: PropensityModel) -> EffectEstimate:
 
 
 def stratified_ate(
-    f: Frame, t: str, y: str, pm: PropensityModel, k: int = 5
+    f: Frame, t: str, y: str, pm: PropensityModel, k: int = DEFAULT_STRATA
 ) -> EffectEstimate:
     """ATE from ``k`` propensity-quantile strata.
 

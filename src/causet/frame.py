@@ -5,8 +5,9 @@ Each column has a kind (``numeric``, ``binary``, ``categorical``) and a
 missing-mask.  Every operation returns a new frame; inputs are never
 mutated (the backing arrays are marked read-only).
 
-CSV convention: RFC-4180-style, UTF-8, mandatory header row, empty field
-means missing, ``.`` is the decimal separator.
+CSV convention: RFC-4180-style, UTF-8 (a leading byte-order mark is
+skipped), mandatory header row, empty field means missing, ``.`` is the
+decimal separator.
 """
 
 from __future__ import annotations
@@ -297,7 +298,7 @@ def load_csv(path: str | Path, schema: Mapping[str, str] | None = None) -> Frame
             if kind not in KINDS:
                 raise KindError(f"schema kind {kind!r} for column {name!r} is unknown")
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:

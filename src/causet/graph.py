@@ -174,7 +174,6 @@ def parse_graph(text: str) -> CausalGraph:
     more than one node is declared treatment or outcome.
     """
     roles: dict[str, str] = {}
-    declared_roles: dict[str, str] = {}
     edges: list[tuple[str, str]] = []
 
     def declare(name: str) -> None:
@@ -194,12 +193,10 @@ def parse_graph(text: str) -> CausalGraph:
                     raise ParseError(f"line {lineno}: bad role statement {stmt!r}")
                 role, name = parts
                 declare(name)
-                prev = declared_roles.get(name)
-                if prev is not None and prev != role:
+                if roles[name] not in ("covariate", role):  # "covariate": no @ line yet
                     raise RoleError(
-                        f"line {lineno}: node {name!r} declared both {prev} and {role}"
+                        f"line {lineno}: node {name!r} declared both {roles[name]} and {role}"
                     )
-                declared_roles[name] = role
                 roles[name] = role
             elif "->" in stmt:
                 parts = [p.strip() for p in stmt.split("->")]
@@ -300,9 +297,9 @@ def backdoor_sets(g: CausalGraph, t: str, y: str) -> list[tuple[str, ...]]:
     non-descendants blocks every backdoor path.
     """
     if g.role(t) != "treatment":
-        raise RoleError(f"node {t!r} does not have role treatment")
+        raise RoleError(f"graph does not mark {t!r} as treatment")
     if g.role(y) != "outcome":
-        raise RoleError(f"node {y!r} does not have role outcome")
+        raise RoleError(f"graph does not mark {y!r} as outcome")
 
     trimmed = g.without_outgoing(t)
     forbidden = g.descendants(t) | {t, y} | g.unobserved

@@ -19,6 +19,8 @@ from .estimators import PropensityModel, _treatment_vector
 from .frame import Frame
 from .learners import FittedModel, LearnerSpec, fit_learner
 
+BASES = ("linear", "gbt")  # the regression kinds a meta-learner can use
+
 
 @dataclass
 class CateModel:
@@ -94,7 +96,7 @@ def _cate_model(learner, base, f, X, z, t, models, pm=None) -> CateModel:
 
 
 def _setup(f: Frame, t: str, y: str, z: Sequence[str], base: LearnerSpec):
-    if base.kind not in ("linear", "gbt"):
+    if base.kind not in BASES:
         raise ValueError(f"base learner must be a regression kind, got {base.kind!r}")
     tv = _treatment_vector(f, t)
     yv = f.column(y).values

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import json
 import warnings
 from dataclasses import dataclass
@@ -33,9 +34,10 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import evaluation, metalearners, synth
-from .errors import ParseError, RoleError, SchemaMismatchError
+from .errors import ParseError, SchemaMismatchError
 from .estimators import (
     DEFAULT_CLIP,
+    DEFAULT_STRATA,
     EffectEstimate,
     fit_propensity,
     ipw_ate,
@@ -48,6 +50,7 @@ from .graph import backdoor_sets, parse_graph
 from .learners import LearnerSpec
 from .refutation import (
     DEFAULT_REPETITIONS,
+    DEFAULT_SUBSET_FRACTION,
     EstimationTask,
     refute_placebo,
     refute_random_common_cause,
@@ -58,18 +61,19 @@ from .rng import derive_seed
 
 REPORT_VERSION = 1
 
-# Estimator name -> fn(frame, spec, z, pm) -> EffectEstimate, where ``pm`` is
-# the propensity model fitted on ``frame`` over ``z`` (None for the methods in
-# NO_PROPENSITY).  Entries look the estimators up by module name when called,
-# so a wrapper patched over ``pipeline.psm_att`` (as perfbench's tracer does)
-# sees every call; a function object captured here would bypass it.
+# Estimator name -> fn(frame, spec, z, pm) -> EffectEstimate, where ``pm()``
+# returns the propensity model on ``frame`` over ``z``, fitted on the first
+# call, so a method that never calls it fits none.  Entries look the
+# estimators up by module name when called, so a wrapper patched over
+# ``pipeline.psm_att`` (as perfbench's tracer does) sees every call; a
+# function object captured here would bypass it.
 ESTIMATORS = {
     "regression_adjustment":
         lambda f, spec, z, pm: regression_adjustment(f, spec.treatment, spec.outcome, z),
-    "psm": lambda f, spec, z, pm: psm_att(f, spec.treatment, spec.outcome, z, pm),
-    "ipw": lambda f, spec, z, pm: ipw_ate(f, spec.treatment, spec.outcome, pm),
+    "psm": lambda f, spec, z, pm: psm_att(f, spec.treatment, spec.outcome, z, pm()),
+    "ipw": lambda f, spec, z, pm: ipw_ate(f, spec.treatment, spec.outcome, pm()),
     "stratification":
-        lambda f, spec, z, pm: stratified_ate(f, spec.treatment, spec.outcome, pm, k=spec.strata),
+        lambda f, spec, z, pm: stratified_ate(f, spec.treatment, spec.outcome, pm(), k=spec.strata),
 }
 # Refuter name -> fn(task, frame, spec, seed) -> RefutationReport, where
 # ``task`` re-runs the target estimator.  Looked up by name when called, for
@@ -85,13 +89,10 @@ REFUTERS = {
         task, f, spec.confounder_strength_t, spec.confounder_strength_y,
         spec.refuter_repetitions, seed),
 }
-# Estimators and meta-learners that use no propensity model.
-NO_PROPENSITY = frozenset({"regression_adjustment", "S", "T"})
-
 ESTIMATOR_NAMES = tuple(ESTIMATORS)
 REFUTER_NAMES = tuple(REFUTERS)
 LEARNER_NAMES = tuple(metalearners.EFFECTS)
-BASE_NAMES = ("linear", "gbt")
+BASE_NAMES = metalearners.BASES
 TRAIN_FRACTION = 0.8  # share of each synthetic validation set the learners fit
 VALIDATION_COMBOS = tuple(
     (learner, base) for learner in LEARNER_NAMES for base in BASE_NAMES
@@ -113,10 +114,10 @@ class QuerySpec:
     label_rules: tuple[LabelRule, ...] = ()
     name: str = "query"
     context: str = ""
-    strata: int = 5
+    strata: int = DEFAULT_STRATA
     refuter_repetitions: int = DEFAULT_REPETITIONS
     propensity_clip: float = DEFAULT_CLIP
-    subset_fraction: float = 0.8
+    subset_fraction: float = DEFAULT_SUBSET_FRACTION
     confounder_strength_t: float = 0.5
     confounder_strength_y: float = 0.5
 
@@ -155,7 +156,7 @@ def parse_query_spec(path: str | Path, default_seed: int | None = 0) -> QuerySpe
     path = Path(path)
     base_dir = path.parent
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ParseError(f"cannot read query spec {path}: {exc}") from exc
 
@@ -271,36 +272,33 @@ def _prepare_frame(f: Frame, spec: QuerySpec, z: Sequence[str]) -> tuple[Frame, 
     return f, tuple(zcols)
 
 
-def _fit_metalearner(learner, base_spec, frame, t, y, z, pm, t_fits):
-    """Fit one meta-learner; ``t_fits`` holds the T-learners fitted on this frame.
-
-    The caller passes one empty dict per frame.  T and X share the
-    T-learner of each base (X's stage 1 is its two arm models), so it is
-    fitted at most once per frame and base, whichever of T and X comes first.
-    """
+def _fit_metalearner(learner, base_spec, frame, t, y, z, pm, t_fit):
+    """One meta-learner on ``frame``; T returns ``t_fit(base_spec)``, X takes it as stage 1."""
     if learner == "S":
         return metalearners.s_learner(frame, t, y, z, base_spec)
     if learner == "R":
-        return metalearners.r_learner(frame, t, y, z, base_spec, pm)
-    if base_spec not in t_fits:
-        t_fits[base_spec] = metalearners.t_learner(frame, t, y, z, base_spec)
+        return metalearners.r_learner(frame, t, y, z, base_spec, pm())
     if learner == "T":
-        return t_fits[base_spec]
-    return metalearners.x_learner(frame, t, y, z, base_spec, pm, t_fits[base_spec])
+        return t_fit(base_spec)
+    return metalearners.x_learner(frame, t, y, z, base_spec, pm(), t_fit(base_spec))
 
 
-def _propensity(frame: Frame, spec: QuerySpec, z: Sequence[str], methods: Sequence[str]):
-    """The propensity model when any of ``methods`` uses one, else None."""
-    if all(m in NO_PROPENSITY for m in methods):
-        return None
-    return fit_propensity(frame, spec.treatment, z, clip=spec.propensity_clip)
+def _propensity(frame: Frame, t: str, z: Sequence[str], clip: float):
+    """Getter of the propensity model on ``frame``, fitted on its first call."""
+    return functools.cache(lambda: fit_propensity(frame, t, z, clip=clip))
+
+
+def _t_fit(frame: Frame, t: str, y: str, z: Sequence[str]):
+    """Getter of the T-learner on ``frame`` per base spec, fitted on its first call."""
+    return functools.cache(lambda base_spec: metalearners.t_learner(frame, t, y, z, base_spec))
 
 
 def _estimator_task(method: str, spec: QuerySpec, z: tuple[str, ...]) -> EstimationTask:
     """``method`` adjusting for ``z``; each run refits the propensity model on its frame."""
 
     def run(frame: Frame, z: tuple[str, ...]) -> float:
-        return ESTIMATORS[method](frame, spec, z, _propensity(frame, spec, z, (method,))).value
+        pm = _propensity(frame, spec.treatment, z, spec.propensity_clip)
+        return ESTIMATORS[method](frame, spec, z, pm).value
 
     return EstimationTask(estimate=run, treatment=spec.treatment, outcome=spec.outcome,
                           adjustment=z)
@@ -319,11 +317,7 @@ def run_query(spec: QuerySpec, out_dir: str | Path | None = None) -> dict:
     for rule in spec.label_rules:
         f = derive_binary_label(f, rule)
 
-    g = parse_graph(Path(spec.graph).read_text(encoding="utf-8"))
-    if g.role(spec.treatment) != "treatment":
-        raise RoleError(f"graph does not mark {spec.treatment!r} as treatment")
-    if g.role(spec.outcome) != "outcome":
-        raise RoleError(f"graph does not mark {spec.outcome!r} as outcome")
+    g = parse_graph(Path(spec.graph).read_text(encoding="utf-8-sig"))
     all_sets = backdoor_sets(g, spec.treatment, spec.outcome)
     z_nodes = all_sets[0]
 
@@ -334,8 +328,8 @@ def run_query(spec: QuerySpec, out_dir: str | Path | None = None) -> dict:
     controls = yv[tv == 0.0]
     control_mean = float(controls.mean()) if controls.size else None
 
-    pm = _propensity(f, spec, z, (*spec.estimators, *(l for l, _ in spec.metalearners)))
-
+    pm = _propensity(f, t, z, spec.propensity_clip)
+    t_fit = _t_fit(f, t, y, z)
     effects = []
     ite_files: dict[str, str] = {}
     out = Path(out_dir) if out_dir is not None else None
@@ -345,10 +339,9 @@ def run_query(spec: QuerySpec, out_dir: str | Path | None = None) -> dict:
     for method in spec.estimators:
         effects.append(_effect_row(ESTIMATORS[method](f, spec, z, pm), control_mean))
 
-    t_fits: dict = {}
     n_treated, n_control = int(tv.sum()), int((1 - tv).sum())
     for learner, base in spec.metalearners:
-        cate = _fit_metalearner(learner, LearnerSpec(base), f, t, y, z, pm, t_fits)
+        cate = _fit_metalearner(learner, LearnerSpec(base), f, t, y, z, pm, t_fit)
         label = f"{learner}:{base}"
         est = EffectEstimate(label, "ATE", cate.ate, n_treated, n_control, z)
         effects.append(_effect_row(est, control_mean))
@@ -437,14 +430,13 @@ def run_validation(
         frame = dataset.to_frame()
         train, val = split(frame, TRAIN_FRACTION, seed=derive_seed(rep_seed, 1))
         z = dataset.feature_names
-        pm = fit_propensity(train, "w", z)
+        pm, t_fit = _propensity(train, "w", z, DEFAULT_CLIP), _t_fit(train, "w", "y", z)
         tau_mean = float(dataset.tau_true.mean())
         tau_train = train.values("tau_true")
         tau_val = val.values("tau_true")
 
-        t_fits: dict = {}
         for learner, base in VALIDATION_COMBOS:
-            cate = _fit_metalearner(learner, LearnerSpec(base), train, "w", "y", z, pm, t_fits)
+            cate = _fit_metalearner(learner, LearnerSpec(base), train, "w", "y", z, pm, t_fit)
             ite_val = cate.predict_ite(val)
             scatter = evaluation.prediction_scatter(ite_val, tau_val)
             curve = evaluation.uplift_curve_true(ite_val, tau_val)

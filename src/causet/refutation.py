@@ -27,6 +27,7 @@ from .learners import _sigmoid
 from .rng import derive_seed, make_rng
 
 DEFAULT_REPETITIONS = 100
+DEFAULT_SUBSET_FRACTION = 0.8
 PLACEBO_RATIO = 0.25       # pass when |mean refuted| < ratio * |original|
 STABLE_CHANGE = 0.10       # pass when relative change stays below this
 
@@ -188,7 +189,7 @@ def refute_placebo(
 def refute_subset(
     task: EstimationTask,
     f: Frame,
-    fraction: float = 0.8,
+    fraction: float = DEFAULT_SUBSET_FRACTION,
     repetitions: int = DEFAULT_REPETITIONS,
     seed: int = 0,
 ) -> RefutationReport:

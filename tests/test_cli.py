@@ -1,10 +1,15 @@
+import codecs
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
 from causet.cli import main
 from causet.frame import load_csv, write_csv
 from causet.synth import generate
+
+SAMPLES = Path(__file__).resolve().parents[1] / "sample_queries"
 
 GRAPH = """
 x0 -> w; x0 -> y
@@ -261,6 +266,23 @@ class TestErrorPaths:
         assert rc == 1
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "IoError"
 
+    @pytest.mark.parametrize("role, old, new", [
+        ("treatment", "@treatment w", "@treatment x0"),
+        ("outcome", "@outcome y", "@outcome x0"),
+    ])
+    def test_graph_marks_another_node(self, workdir, tmp_path, capsys, role, old, new):
+        (workdir / f"{role}.graph").write_text(GRAPH.replace(old, new), encoding="utf-8")
+        spec = workdir / f"{role}.spec"
+        spec.write_text(
+            (workdir / "query.spec").read_text().replace("model.graph", f"{role}.graph"),
+            encoding="utf-8",
+        )
+        assert main(["estimate", str(spec), "--out", str(tmp_path)]) == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "RoleError"
+        node = old.split()[1]
+        assert err["message"] == f"graph does not mark {node!r} as {role}"
+
     def test_bad_spec_file(self, tmp_path, capsys):
         spec = tmp_path / "broken.spec"
         spec.write_text("what even is this\n")
@@ -286,6 +308,33 @@ class TestErrorPaths:
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["type"] == "ParseError"
         assert name in err["message"]
+
+
+class TestByteOrderMark:
+    """An input file that starts with a UTF-8 byte-order mark (as Excel and
+    Notepad write) reads as the same file without it."""
+
+    @pytest.mark.parametrize("name", ["homes.csv", "windows.graph", "windows.spec"])
+    def test_estimate_report_unchanged(self, tmp_path, name):
+        work = tmp_path / "queries"
+        shutil.copytree(SAMPLES, work)
+        spec = str(work / "windows.spec")
+        assert main(["estimate", spec, "--out", str(tmp_path / "plain")]) == 0
+        path = work / name
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        assert main(["estimate", spec, "--out", str(tmp_path / "marked")]) == 0
+        report = "report.json"
+        assert (tmp_path / "marked" / report).read_bytes() == (
+            tmp_path / "plain" / report).read_bytes()
+
+    def test_compare_reads_a_marked_report(self, workdir, tmp_path, capsys):
+        main(["estimate", str(workdir / "query.spec"), "--out", str(tmp_path), "--format",
+              "machine"])
+        path = tmp_path / "report.json"
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        capsys.readouterr()
+        assert main(["compare", str(path)]) == 0
+        assert "regression_adjustment" in capsys.readouterr().out
 
 
 class TestBadFlags:

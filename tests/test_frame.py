@@ -1,3 +1,4 @@
+import codecs
 import csv
 import tracemalloc
 
@@ -66,6 +67,17 @@ class TestLoadCsv:
     def test_schema_overrides_inference(self, tmp_path):
         f = frame_of("a\n0\n1\n", tmp_path / "d.csv", schema={"a": "numeric"})
         assert f.kind("a") == "numeric"
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        # the categorical column is read again in a second pass after a seek
+        text = "a,c\n1,x\n2,\n3,y\n"
+        plain = frame_of(text, tmp_path / "plain.csv")
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
+        f = load_csv(marked)
+        assert f.names == ("a", "c") and f.kind("c") == "categorical"
+        assert f.values("c").tolist() == ["x", "", "y"]
+        assert f == plain
 
     def test_header_only_file(self, tmp_path):
         f = frame_of("a,b\n", tmp_path / "d.csv")

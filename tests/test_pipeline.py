@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from causet import pipeline
+from causet import metalearners, pipeline
 from causet.errors import NotIdentifiableError, ParseError, SchemaMismatchError
 from causet.frame import write_csv
 from causet.pipeline import (
@@ -285,16 +285,16 @@ class TestRunQuery:
         assert (tmp_path / "refutations.csv").exists()
 
 
-def count_calls(monkeypatch, name):
-    """Wrap ``pipeline.<name>`` in a counting wrapper; return the call list."""
+def count_calls(monkeypatch, name, module=pipeline):
+    """Wrap ``<module>.<name>`` in a counting wrapper; return the call list."""
     calls = []
-    original = getattr(pipeline, name)
+    original = getattr(module, name)
 
     def wrapper(*args, **kwargs):
         calls.append(name)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(pipeline, name, wrapper)
+    monkeypatch.setattr(module, name, wrapper)
     return calls
 
 
@@ -350,6 +350,33 @@ class TestDispatchTables:
                             refuter_repetitions=reps))
         # the query's own estimate, then the refuter's original and one per repetition
         assert len(fits) == len(matches) == 1 + 1 + reps
+
+
+class TestNuisanceFits:
+    """The propensity model and the T-learner are fitted on first use, at most
+    once per frame (and base), and every refuter restates the target's effect."""
+
+    def test_validation_fits_each_once_per_rep(self, monkeypatch):
+        fits = count_calls(monkeypatch, "fit_propensity")
+        t_calls = count_calls(monkeypatch, "t_learner", metalearners)
+        run_validation(n=400, repetitions=2)
+        # per rep: one propensity model for X and R, one T-learner per base for T and X
+        assert (len(fits), len(t_calls)) == (2, 4)
+
+    def test_t_and_x_share_one_t_learner(self, query_dir, monkeypatch):
+        t_calls = count_calls(monkeypatch, "t_learner", metalearners)
+        spec = parse_query_spec(query_dir / "query.spec")
+        run_query(dataclasses.replace(spec, metalearners=(("T", "linear"), ("X", "linear"))))
+        assert len(t_calls) == 1
+
+    def test_refutations_restate_the_target_effect(self, query_dir):
+        spec = dataclasses.replace(
+            parse_query_spec(query_dir / "query.spec"), estimators=("psm",), metalearners=(),
+            refuters=pipeline.REFUTER_NAMES, refuter_repetitions=2)
+        report = run_query(spec)
+        effect = report["effects"][0]["effect"]
+        originals = [r["original_effect"].hex() for r in report["refutations"]]
+        assert originals == [effect.hex()] * len(pipeline.REFUTER_NAMES)
 
 
 class TestLabelRulePipeline:
