@@ -271,6 +271,35 @@ def _blocks(reader) -> Iterator[list[list[str]]]:
         yield block
 
 
+# The bytes of a block that numpy's C reader may parse: digits, signs,
+# point, exponent, comma, space, tab, line ends and the letters of nan, inf
+# and infinity.  On these it agrees with csv.reader plus float(); elsewhere
+# it strips more whitespace (0x1c-0x1f), rejects non-ASCII digits, skips
+# blank lines and has no field size limit.
+_NUMERIC_BYTES = b"0123456789+-.eE, \t\r\n" + b"nanifty"
+
+
+def _parse_block(lines: list[str], width: int, limit: int) -> np.ndarray | None:
+    """``lines`` parsed by numpy's C reader into a (len(lines), width) array,
+    or None unless that gives what csv.reader plus float() would."""
+    text = "".join(lines)
+    if (
+        not text.isascii()
+        or text.encode("ascii").translate(None, _NUMERIC_BYTES)
+        or text.isspace()  # only blank lines: loadtxt would warn of no data
+        or max(map(len, lines)) > limit
+    ):
+        return None
+    # Freed before the reader allocates: holding the joined copy through the
+    # parse raised estimate_wide's peak RSS by about a tenth.
+    del text
+    try:
+        parsed = np.loadtxt(lines, delimiter=",", comments=None, dtype=float, ndmin=2)
+    except ValueError:  # a cell that does not parse, an empty one included
+        return None
+    return parsed if parsed.shape == (len(lines), width) else None
+
+
 def load_csv(path: str | Path, schema: Mapping[str, str] | None = None) -> Frame:
     """Load a CSV file into a frame.
 
@@ -278,36 +307,57 @@ def load_csv(path: str | Path, schema: Mapping[str, str] | None = None) -> Frame
     all-numeric columns become numeric, {0, 1} columns binary, anything else
     categorical.  Empty cells are missing, and so are non-finite numbers.
 
-    Rows are read ``_BLOCK`` at a time.  Each block is checked for ragged
-    rows and transposed, and each column that may still be numeric has its
-    cells parsed with one ``float()`` each, an empty one as ``"nan"``; a
-    column whose parse fails is not parsed again.  The kind is inferred from
-    the whole parsed column.  Cell text is kept only for the columns that
-    need it (declared categorical, inferred categorical because a cell did
-    not parse, or declared numeric or binary and holding a bad cell), taken
-    in a second pass over the file, so an all-numeric file is read once and
-    memory holds one block of cells plus the parsed columns.
+    Rows are read ``_BLOCK`` lines at a time.  While no column is declared
+    categorical, a block of ``_NUMERIC_BYTES`` only, with lines that fit
+    csv's field size limit, is parsed in one call to numpy's C reader; it is
+    kept when every cell parsed into one row per line and one column per
+    header name, so its values are those csv would give.  The first block
+    that is not kept goes, with the rest of the file, through
+    ``csv.reader``: each block is checked for ragged rows and transposed,
+    and each column that may still be numeric has its cells parsed with one
+    ``float()`` each, an empty one as ``"nan"``; a column whose parse fails
+    is not parsed again.  So a blank cell, a quote or a text cell costs at
+    most one block parsed twice.  The kind is inferred from the whole parsed
+    column.  Cell text is kept only for the columns that need it (declared
+    categorical, inferred categorical because a cell did not parse, or
+    declared numeric or binary and holding a bad cell), taken in a second
+    pass over the file, so an all-numeric file is read once and memory holds
+    one block of cells plus the parsed columns.
 
     Errors keep a fixed order: a ragged row anywhere raises first; otherwise
     the first offending column in header order raises, naming its first
     offending cell in row order.  Bytes that are not UTF-8, or a field over
-    csv's size limit, raise a :class:`ParseError` naming the path.
+    csv's size limit, raise a :class:`ParseError` naming the path.  A
+    ``schema`` name missing from the header raises
+    :class:`UnknownColumnError` before any row is read.
     """
     if schema:
         for name, kind in schema.items():
             if kind not in KINDS:
                 raise KindError(f"schema kind {kind!r} for column {name!r} is unknown")
+    limit = csv.field_size_limit()
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
+            header = next(csv.reader(fh), None)
             if header is None:
                 raise IoError(f"{path}: empty file, header row required")
+            for name in schema or ():
+                if name not in header:
+                    raise UnknownColumnError(f"unknown column {name!r}")
             kinds = [schema.get(name) if schema else None for name in header]
             # Parsed chunks per column; None once the column needs its text.
             chunks = [None if k == "categorical" else [np.empty(0)] for k in kinds]
             row_no = 2
-            for block in _blocks(reader):
+            lines = []
+            if "categorical" not in kinds:
+                while lines := list(itertools.islice(fh, _BLOCK)):
+                    parsed = _parse_block(lines, len(header), limit)
+                    if parsed is None:
+                        break
+                    for j, c in enumerate(chunks):
+                        c.append(parsed[:, j])
+                    row_no += len(lines)
+            for block in _blocks(csv.reader(itertools.chain(lines, fh))):
                 for i, r in enumerate(block, start=row_no):
                     if len(r) != len(header):
                         raise RaggedRowError(

@@ -295,7 +295,9 @@ class TestErrorPaths:
         ("latin.csv", b"w,y\n1,0.5\n0,\xff\n"),
         # one quoted field over csv's 131,072-character field limit
         ("long.csv", b'w,y\n1,"' + b"7" * 200_000 + b'"\n'),
-    ], ids=["non_utf8", "overlong_field"])
+        # the same field unquoted, all digits: numpy's C reader would read inf
+        ("digits.csv", b"w,y\n1," + b"7" * 200_000 + b"\n"),
+    ], ids=["non_utf8", "overlong_field", "overlong_unquoted"])
     def test_unreadable_data_file(self, workdir, tmp_path, capsys, name, body):
         (workdir / name).write_bytes(body)
         spec = workdir / f"{name}.spec"

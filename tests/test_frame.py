@@ -1,6 +1,7 @@
 import codecs
 import csv
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from causet.errors import (
     IoError,
     KindError,
     MissingDataError,
+    ParseError,
     RaggedRowError,
     TypeConflictError,
     UnknownColumnError,
@@ -30,7 +32,7 @@ from causet.frame import (
 )
 from causet.rng import make_rng
 
-from oracles import load_csv_two_pass, write_csv_rowwise
+from oracles import load_csv_blocks, load_csv_two_pass, write_csv_rowwise
 
 
 def frame_of(text, path, schema=None):
@@ -125,6 +127,11 @@ class TestLoadCsv:
         write_csv(f, tmp_path / "out.csv")
         assert load_csv(tmp_path / "out.csv") == f
 
+    def test_schema_name_missing_from_the_header(self, tmp_path):
+        # raised before any row is read, so the ragged row never is
+        with pytest.raises(UnknownColumnError, match=r"^unknown column 'A'$"):
+            frame_of("a\n1\n0,1\n", tmp_path / "d.csv", schema={"A": "binary"})
+
     def test_first_offending_cell_names_the_error(self, tmp_path):
         with pytest.raises(TypeConflictError, match=r"cell '2' is not 0/1"):
             frame_of("a\n2\nabc\n", tmp_path / "d.csv", schema={"a": "binary"})
@@ -146,14 +153,14 @@ def write_rows(path, rows, names=("c0", "c1", "c2")):
         writer.writerows(rows)
 
 
-def assert_same_load(path, schema=None):
-    """``load_csv`` and the two-pass oracle give the same frame, bit for
-    bit, or the same error; returns the frame or the error."""
+def assert_same_load(path, schema=None, oracle=load_csv_two_pass):
+    """``load_csv`` and ``oracle`` give the same frame, bit for bit, or the
+    same error; returns the frame or the error."""
     outcomes = []
-    for load in (load_csv, load_csv_two_pass):
+    for load in (load_csv, oracle):
         try:
             outcomes.append(load(path, schema=schema))
-        except (TypeConflictError, RaggedRowError) as exc:
+        except (TypeConflictError, RaggedRowError, ParseError) as exc:
             outcomes.append((type(exc), str(exc)))
     got, expected = outcomes
     if isinstance(expected, tuple):
@@ -170,9 +177,40 @@ def assert_same_load(path, schema=None):
     return got
 
 
+# Raw file text: rows of numbers with a few cells swapped for near-numbers
+# (characters that numpy's C reader and float() strip or parse differently,
+# quotes, stray commas), and every line end, blank lines included.
+VALID_CELLS = st.sampled_from(
+    ["0", "1", "0.5", "-2.5e3", "+7E-2", "1e400", "nan", "-inf", "infinity", "-0.0", ""]
+)
+CHUNKS = st.sampled_from(
+    list("0179.eE+-_,\"") + ["nan", "inf", " ", "\t", "\x0c", "\x1c", "\x85", "\u0661"]
+)
+PADS = st.sampled_from(["", " ", "\t", "\x0c", "\x1c", "\x85", "\"", "_", "\u0661"])
+ODD_CELLS = st.one_of(
+    st.builds(lambda a, b, c: a + b + c, PADS, VALID_CELLS, PADS),
+    st.lists(CHUNKS, max_size=4).map("".join),
+)
+LINE_ENDS = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r", "\n\n", "\r\n\r\n"])
+
+
+@st.composite
+def raw_csv_text(draw):
+    n = draw(st.integers(0, 8))
+    rows = [draw(st.lists(VALID_CELLS, min_size=3, max_size=3)) for _ in range(n)]
+    for _ in range(draw(st.integers(0, 3)) if n else 0):
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, 2))] = draw(ODD_CELLS)
+    lines = [",".join(cells) + draw(LINE_ENDS) for cells in [["c0", "c1", "c2"], *rows]]
+    if draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip("\r\n")
+    return "".join(lines)
+
+
 class TestLoaderOracle:
-    """The block loader against the former two-pass one, with blocks small
-    enough that the files cross them."""
+    """The loader against the former two-pass one, and against the former
+    csv-only block loader on file text written directly (blank lines, stray
+    quotes, every line end), with blocks small enough that the files cross
+    them."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -188,6 +226,86 @@ class TestLoaderOracle:
                 mp.setattr(frame, "_BLOCK", block)
                 assert_same_load(path, schema)
 
+    @settings(max_examples=400, deadline=None)
+    @given(
+        text=raw_csv_text(),
+        schema_kind=st.sampled_from([None, "numeric", "binary", "categorical"]),
+    )
+    def test_raw_text_same_as_csv_block_loader(self, tmp_path_factory, text, schema_kind):
+        path = tmp_path_factory.mktemp("raw") / "d.csv"
+        path.write_bytes(text.encode("utf-8"))
+        schema = None if schema_kind is None else {"c1": schema_kind}
+        for block in (1, 2, 3, frame._BLOCK):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(frame, "_BLOCK", block)
+                assert_same_load(path, schema, oracle=load_csv_blocks)
+
+
+def no_csv_blocks(reader):
+    """Stands in for ``frame._blocks`` where every row must take the C reader."""
+    if next(reader, None) is not None:
+        raise AssertionError("a row went through the csv block loop")
+    return iter(())
+
+
+class TestLoaderCReader:
+    """The guards that keep numpy's C reader to blocks where it gives what
+    csv.reader plus float() gives, and the proof that it is used at all."""
+
+    def test_all_numeric_frame_takes_the_c_reader(self, tmp_path, monkeypatch):
+        rng = make_rng(3)
+        n = 3 * frame._BLOCK + 5
+        f = Frame([
+            Column("x", "numeric", rng.standard_normal(n) * 1e5, np.zeros(n, dtype=bool)),
+            Column("t", "binary", (rng.uniform(size=n) < 0.5).astype(float),
+                   np.zeros(n, dtype=bool)),
+            Column("z", "numeric", rng.standard_normal(n) * 1e-9, np.zeros(n, dtype=bool)),
+        ])
+        write_csv(f, tmp_path / "d.csv")
+        expected = load_csv_blocks(tmp_path / "d.csv")
+        monkeypatch.setattr(frame, "_blocks", no_csv_blocks)
+        g = load_csv(tmp_path / "d.csv")
+        assert g == f
+        for a, b in zip(g.columns, expected.columns):
+            assert a.kind == b.kind and a.values.tobytes() == b.values.tobytes()
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_line_ends_load_equal_through_the_c_reader(self, tmp_path, monkeypatch, end):
+        text = "a,b\n1.5,0\n-2e3,1\nnan,inf\n"
+        lf = frame_of(text, tmp_path / "lf.csv")
+        monkeypatch.setattr(frame, "_blocks", no_csv_blocks)
+        other = tmp_path / "other.csv"
+        other.write_bytes(text.replace("\n", end).encode("ascii"))
+        assert load_csv(other) == lf
+
+    def test_control_character_keeps_the_column_categorical(self, tmp_path):
+        # numpy strips \x1c as whitespace; float() rejects it
+        f = frame_of("a,b\n1\x1c,2\n3,4\n", tmp_path / "d.csv")
+        assert f.kind("a") == "categorical" and f.kind("b") == "numeric"
+        assert f.values("a").tolist() == ["1\x1c", "3"]
+
+    def test_non_ascii_digit_parses_as_float_does(self, tmp_path):
+        # float("\u0661") is 1.0; the C reader would reject it
+        f = frame_of("a,b\n\u0661,2\n0,4\n", tmp_path / "d.csv")
+        assert f.kind("a") == "binary" and f.values("a").tolist() == [1.0, 0.0]
+
+    def test_blank_line_in_a_numeric_block_is_a_ragged_row(self, tmp_path):
+        # numpy would skip it
+        with pytest.raises(RaggedRowError, match=r"row 3 has 0 fields, header has 2"):
+            frame_of("a,b\n1,2\n\n3,4\n", tmp_path / "d.csv")
+
+    def test_block_of_blank_lines_is_a_ragged_row_without_a_warning(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(frame, "_BLOCK", 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RaggedRowError, match=r"row 3 has 0 fields, header has 1"):
+                frame_of("a\n1\n\n\n", tmp_path / "d.csv")
+
+    def test_declared_categorical_keeps_numeric_text(self, tmp_path):
+        f = frame_of("a,b\n1,2\n3.0,4\n", tmp_path / "d.csv", schema={"a": "categorical"})
+        assert f.kind("a") == "categorical" and f.values("a").tolist() == ["1", "3.0"]
+        assert f.kind("b") == "numeric"
+
 
 class TestLoaderBlocks:
     """Fixed cases at two rows per block: blocks 1, 2, 3 hold rows 2-3, 4-5, 6-7."""
@@ -201,6 +319,14 @@ class TestLoaderBlocks:
         f = assert_same_load(tmp_path / "d.csv")
         assert f.kind("c0") == "binary"
         assert f.missing("c0").tolist() == [False] * 4 + [True]
+
+    def test_blank_only_in_last_block_of_numbers(self, tmp_path):
+        # blocks 1 and 2 take the C reader, block 3 goes back through csv
+        write_rows(tmp_path / "d.csv", [["1", "0", "2.5"]] * 4 + [["", "1", "3"]])
+        f = assert_same_load(tmp_path / "d.csv", oracle=load_csv_blocks)
+        assert [f.kind(n) for n in f.names] == ["binary", "binary", "numeric"]
+        assert f.missing("c0").tolist() == [False] * 4 + [True]
+        assert f.values("c2").tolist() == [2.5] * 4 + [3.0]
 
     def test_unparsable_only_in_last_block(self, tmp_path):
         write_rows(tmp_path / "d.csv", [["1.5", "0", "2"]] * 4 + [["x", "1", "3"]])
