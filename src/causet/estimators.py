@@ -161,7 +161,7 @@ def psm_att(
         estimand="ATT",
         value=effect,
         n_treated=len(treated),
-        n_control=len(np.unique(matched)),
+        n_control=int(np.count_nonzero(np.bincount(matched))),
         adjustment_set=pm.adjustment,
     )
 

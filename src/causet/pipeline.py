@@ -75,19 +75,20 @@ ESTIMATORS = {
     "stratification":
         lambda f, spec, z, pm: stratified_ate(f, spec.treatment, spec.outcome, pm(), k=spec.strata),
 }
-# Refuter name -> fn(task, frame, spec, seed) -> RefutationReport, where
-# ``task`` re-runs the target estimator.  Looked up by name when called, for
-# the same reason as ESTIMATORS.
+# Refuter name -> fn(task, frame, spec, seed, original) -> RefutationReport,
+# where ``task`` re-runs the target estimator and ``original`` is its effect
+# on ``frame``.  Looked up by name when called, for the same reason as
+# ESTIMATORS.
 REFUTERS = {
-    "random_common_cause": lambda task, f, spec, seed: refute_random_common_cause(
-        task, f, spec.refuter_repetitions, seed),
-    "placebo_treatment": lambda task, f, spec, seed: refute_placebo(
-        task, f, spec.refuter_repetitions, seed),
-    "data_subset": lambda task, f, spec, seed: refute_subset(
-        task, f, spec.subset_fraction, spec.refuter_repetitions, seed),
-    "unobserved_confounder": lambda task, f, spec, seed: refute_unobserved_confounder(
+    "random_common_cause": lambda task, f, spec, seed, original: refute_random_common_cause(
+        task, f, spec.refuter_repetitions, seed, original),
+    "placebo_treatment": lambda task, f, spec, seed, original: refute_placebo(
+        task, f, spec.refuter_repetitions, seed, original),
+    "data_subset": lambda task, f, spec, seed, original: refute_subset(
+        task, f, spec.subset_fraction, spec.refuter_repetitions, seed, original),
+    "unobserved_confounder": lambda task, f, spec, seed, original: refute_unobserved_confounder(
         task, f, spec.confounder_strength_t, spec.confounder_strength_y,
-        spec.refuter_repetitions, seed),
+        spec.refuter_repetitions, seed, original),
 }
 ESTIMATOR_NAMES = tuple(ESTIMATORS)
 REFUTER_NAMES = tuple(REFUTERS)
@@ -294,10 +295,23 @@ def _t_fit(frame: Frame, t: str, y: str, z: Sequence[str]):
 
 
 def _estimator_task(method: str, spec: QuerySpec, z: tuple[str, ...]) -> EstimationTask:
-    """``method`` adjusting for ``z``; each run refits the propensity model on its frame."""
+    """``method`` adjusting for ``z``, with the propensity model of its last run.
+
+    A run reuses the last run's propensity getter when its frame holds the
+    very same treatment and adjustment ``Column`` objects (compared by
+    identity), and takes a new getter otherwise.  Columns are immutable, so
+    the same objects mean the same fit, bit for bit: an outcome-only
+    perturbation fits once, while a new treatment, adjustment set or row
+    subset refits.  Only the last getter is kept.
+    """
+    made_for: tuple = ()  # the treatment and adjustment columns ``pm`` was made for
+    pm = None
 
     def run(frame: Frame, z: tuple[str, ...]) -> float:
-        pm = _propensity(frame, spec.treatment, z, spec.propensity_clip)
+        nonlocal made_for, pm
+        cols = tuple(frame.column(name) for name in (spec.treatment, *z))
+        if len(cols) != len(made_for) or any(a is not b for a, b in zip(cols, made_for)):
+            made_for, pm = cols, _propensity(frame, spec.treatment, z, spec.propensity_clip)
         return ESTIMATORS[method](frame, spec, z, pm).value
 
     return EstimationTask(estimate=run, treatment=spec.treatment, outcome=spec.outcome,
@@ -356,8 +370,9 @@ def run_query(spec: QuerySpec, out_dir: str | Path | None = None) -> dict:
             raise ParseError("refuters need at least one selected estimator to target")
         target = spec.estimators[0]
         task = _estimator_task(target, spec, z)
+        original = effects[0]["effect"]
         for index, refuter in enumerate(spec.refuters):
-            rep = REFUTERS[refuter](task, f, spec, derive_seed(spec.seed, index))
+            rep = REFUTERS[refuter](task, f, spec, derive_seed(spec.seed, index), original)
             row = {**dataclasses.asdict(rep), "target_method": target}
             del row["refuted_effects"]
             refutations.append(row)

@@ -2,15 +2,18 @@
 
 A refuter re-runs an estimation procedure on perturbed copies of the data
 and summarizes how far the estimate moves.  Procedures are described by an
-:class:`EstimationTask` so the refuters can re-fit everything (including
-nuisance models) on each perturbed frame.
+:class:`EstimationTask`, so the refuters hand each perturbed frame to the
+task and the task decides what to re-fit on it (the pipeline's task refits
+the propensity model only when the treatment or adjustment columns moved).
 
 All four run through one loop, ``_refute``; each refuter supplies only its
-perturbation and its verdict rule.  Every refuter is deterministic per
-(seed, repetitions): repetition ``i`` draws from its own child stream
-``derive_seed(seed, i)``.  Refuted effects are sorted before any statistic
-or verdict is computed, so aggregation order can never change a report, and
-a verdict always follows from the mean the report shows.
+perturbation and its verdict rule.  The unperturbed effect comes from the
+caller when it already holds it, and is estimated once otherwise.  Every
+refuter is deterministic per (seed, repetitions): repetition ``i`` draws
+from its own child stream ``derive_seed(seed, i)``.  Refuted effects are
+sorted before any statistic or verdict is computed, so aggregation order can
+never change a report, and a verdict always follows from the mean the report
+shows.
 """
 
 from __future__ import annotations
@@ -100,17 +103,21 @@ def _refute(
     seed: int,
     perturb: Callable[[np.random.Generator], tuple],
     judge: Callable[[float, tuple[float, ...], float], tuple[str, str]],
+    original: float | None,
 ) -> RefutationReport:
-    """The one refuter loop: the original run, then one perturbed run per repetition.
+    """The one refuter loop: one perturbed run per repetition.
 
-    Repetition ``i`` calls ``perturb`` with its own stream ``derive_seed(seed,
-    i)``, and ``perturb`` returns the arguments of that ``task.run``.
-    ``judge(original, refuted, mean)`` returns the verdict and its rule from
-    the sorted effects and their mean, the same numbers the report holds.
+    ``original`` is the task's effect on ``f``; when it is None, ``task.run(f)``
+    estimates it first.  Repetition ``i`` calls ``perturb`` with its own stream
+    ``derive_seed(seed, i)``, and ``perturb`` returns the arguments of that
+    ``task.run``.  ``judge(original, refuted, mean)`` returns the verdict and
+    its rule from the sorted effects and their mean, the same numbers the
+    report holds.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
-    original = task.run(f)
+    if original is None:
+        original = task.run(f)
     runs = [task.run(*perturb(make_rng(derive_seed(seed, i)))) for i in range(repetitions)]
     arr = np.sort(np.asarray(runs, dtype=float))
     refuted = tuple(arr.tolist())
@@ -143,6 +150,7 @@ def refute_random_common_cause(
     f: Frame,
     repetitions: int = DEFAULT_REPETITIONS,
     seed: int = 0,
+    original: float | None = None,
 ) -> RefutationReport:
     """Re-estimate with an independent standard-normal covariate adjoined.
 
@@ -156,7 +164,8 @@ def refute_random_common_cause(
         col = Column(name, "numeric", rng.standard_normal(n), np.zeros(n, dtype=bool))
         return f.with_column(col), (*task.adjustment, name)
 
-    return _refute("random_common_cause", task, f, repetitions, seed, perturb, _stable_judge)
+    return _refute("random_common_cause", task, f, repetitions, seed, perturb, _stable_judge,
+                   original)
 
 
 def refute_placebo(
@@ -164,6 +173,7 @@ def refute_placebo(
     f: Frame,
     repetitions: int = DEFAULT_REPETITIONS,
     seed: int = 0,
+    original: float | None = None,
 ) -> RefutationReport:
     """Re-estimate with the treatment replaced by an independent coin flip.
 
@@ -183,7 +193,7 @@ def refute_placebo(
         rule = f"pass when |mean refuted| < {PLACEBO_RATIO} * |original|"
         return ("pass" if ok else "fail"), rule
 
-    return _refute("placebo_treatment", task, f, repetitions, seed, perturb, judge)
+    return _refute("placebo_treatment", task, f, repetitions, seed, perturb, judge, original)
 
 
 def refute_subset(
@@ -192,6 +202,7 @@ def refute_subset(
     fraction: float = DEFAULT_SUBSET_FRACTION,
     repetitions: int = DEFAULT_REPETITIONS,
     seed: int = 0,
+    original: float | None = None,
 ) -> RefutationReport:
     """Re-estimate on seeded uniform row subsamples of the given fraction."""
     if not 0.0 < fraction < 1.0:
@@ -203,6 +214,7 @@ def refute_subset(
     return _refute(
         "data_subset", task, f, repetitions, seed,
         lambda rng: (f.subset_rows(np.sort(rng.permutation(n)[:m])),), _stable_judge,
+        original,
     )
 
 
@@ -213,19 +225,24 @@ def _simulate_confounder(rng, tv: np.ndarray, strength_t: float, base_p: float) 
     treated units carry upward-tilted u and controls downward-tilted u, so
     the simulated confounder is exactly as predictive of treatment as the
     logit shift implies.  Sampled by vectorized rejection with a fixed
-    round count, so results are deterministic per stream.
+    round count, so results are deterministic per stream.  Every round draws
+    ``n`` normals and ``n`` uniforms, so the stream advances the same way
+    however many rows are still pending, but only the pending rows' draws
+    are evaluated.
     """
     n = tv.shape[0]
     logit_base = math.log(base_p / (1.0 - base_p))
+    treated = tv == 1.0
     u = np.zeros(n)
-    pending = np.ones(n, dtype=bool)
+    pending = np.arange(n)
     for _ in range(64):
-        proposal = rng.standard_normal(n)
-        u[pending] = proposal[pending]
+        proposal = rng.standard_normal(n)[pending]
+        draw = rng.random(n)[pending]
+        u[pending] = proposal
         p_treat = _sigmoid(logit_base + strength_t * proposal)
-        accept_p = np.where(tv == 1.0, p_treat, 1.0 - p_treat)
-        pending &= ~(rng.uniform(size=n) < accept_p)
-        if not pending.any():
+        accept_p = np.where(treated[pending], p_treat, 1.0 - p_treat)
+        pending = pending[~(draw < accept_p)]
+        if not pending.size:
             break
     return u
 
@@ -237,6 +254,7 @@ def refute_unobserved_confounder(
     strength_y: float,
     repetitions: int = DEFAULT_REPETITIONS,
     seed: int = 0,
+    original: float | None = None,
 ) -> RefutationReport:
     """Re-estimate after simulating a latent confounder of given strengths.
 
@@ -268,4 +286,4 @@ def refute_unobserved_confounder(
             f"({strength_t!r}, {strength_y!r}); informational"
         )
 
-    return _refute("unobserved_confounder", task, f, repetitions, seed, perturb, judge)
+    return _refute("unobserved_confounder", task, f, repetitions, seed, perturb, judge, original)

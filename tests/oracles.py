@@ -24,7 +24,7 @@ from causet.frame import (
     _raise_first_bad_cell,
 )
 from causet.graph import CausalGraph
-from causet.learners import _SPLIT_TOL, _Tree
+from causet.learners import _SPLIT_TOL, _Tree, _sigmoid
 
 
 # -- d-separation by exhaustive path enumeration -------------------------------
@@ -503,3 +503,27 @@ def sigmoid_two_branch(eta: np.ndarray) -> np.ndarray:
     ex = np.exp(eta[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
+
+
+# -- refutation ------------------------------------------------------------------
+
+
+def simulate_confounder_all_rows(rng, tv: np.ndarray, strength_t: float, base_p: float) -> np.ndarray:
+    """The confounder sampler that evaluates every row in every round.
+
+    This is the former library sampler: each round computes the acceptance
+    probability of all ``n`` rows and masks out those already accepted.
+    """
+    n = tv.shape[0]
+    logit_base = math.log(base_p / (1.0 - base_p))
+    u = np.zeros(n)
+    pending = np.ones(n, dtype=bool)
+    for _ in range(64):
+        proposal = rng.standard_normal(n)
+        u[pending] = proposal[pending]
+        p_treat = _sigmoid(logit_base + strength_t * proposal)
+        accept_p = np.where(tv == 1.0, p_treat, 1.0 - p_treat)
+        pending &= ~(rng.uniform(size=n) < accept_p)
+        if not pending.any():
+            break
+    return u

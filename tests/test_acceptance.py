@@ -151,13 +151,15 @@ def task_and_frame():
         return t_learner(frame, "w", "y", z, LearnerSpec("gbt")).ate
 
     task = EstimationTask(run, treatment="w", outcome="y", adjustment=ss.feature_names)
-    return task, f
+    # the unperturbed T-gbt effect, estimated once and handed to every refuter
+    return task, f, task.run(f)
 
 
 class TestCriterion4RefutationBattery:
     def test_placebo_collapses(self, task_and_frame):
-        task, f = task_and_frame
-        rep = refute_placebo(task, f, repetitions=30, seed=derive_seed(ACCEPT_SEED, 1))
+        task, f, original = task_and_frame
+        rep = refute_placebo(task, f, repetitions=30, seed=derive_seed(ACCEPT_SEED, 1),
+                             original=original)
         ok = abs(rep.mean_refuted) < 0.25 * abs(rep.original_effect)
         report(
             "4a placebo refuter",
@@ -168,24 +170,25 @@ class TestCriterion4RefutationBattery:
         assert ok
 
     def test_random_common_cause_stable(self, task_and_frame):
-        task, f = task_and_frame
-        rep = refute_random_common_cause(task, f, repetitions=30, seed=derive_seed(ACCEPT_SEED, 2))
+        task, f, original = task_and_frame
+        rep = refute_random_common_cause(task, f, repetitions=30, seed=derive_seed(ACCEPT_SEED, 2),
+                                         original=original)
         report("4b random-common-cause refuter", rep.relative_change < 0.10,
                f"relative change {rep.relative_change:.4f} < 0.10")
         assert rep.relative_change < 0.10
 
     def test_subset_stable(self, task_and_frame):
-        task, f = task_and_frame
+        task, f, original = task_and_frame
         rep = refute_subset(task, f, fraction=0.8, repetitions=30,
-                            seed=derive_seed(ACCEPT_SEED, 3))
+                            seed=derive_seed(ACCEPT_SEED, 3), original=original)
         report("4c subset refuter", rep.relative_change < 0.10,
                f"relative change {rep.relative_change:.4f} < 0.10")
         assert rep.relative_change < 0.10
 
     def test_zero_strength_confounder_is_identity(self, task_and_frame):
-        task, f = task_and_frame
+        task, f, original = task_and_frame
         rep = refute_unobserved_confounder(task, f, 0.0, 0.0, repetitions=3,
-                                           seed=derive_seed(ACCEPT_SEED, 4))
+                                           seed=derive_seed(ACCEPT_SEED, 4), original=original)
         ok = all(e == rep.original_effect for e in rep.refuted_effects)
         report("4d zero-strength confounder identity", ok,
                "refuted effects bit-identical to original")

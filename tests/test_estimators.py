@@ -136,6 +136,23 @@ class TestPsm:
         est = psm_att(f, "t", "y", (), pm)
         assert est.value == pytest.approx(10.0 - 1.0)
 
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("single_control", [False, True])
+    def test_n_control_counts_distinct_matches(self, seed, single_control):
+        # Scores rounded to 2 decimals tie heavily, so many treated rows share
+        # a matched control; a single control takes every match.
+        rng = make_rng(seed)
+        n = 400
+        t = (rng.uniform(size=n) < 0.5).astype(float)
+        if single_control:
+            t[:] = 1.0
+            t[rng.integers(n)] = 0.0
+        e = np.round(rng.uniform(0.05, 0.95, size=n), 2)
+        est = psm_att(make_frame(t, rng.standard_normal(n)), "t", "y", (), ConstantPropensity(e))
+        assert est.n_control == len(np.unique(_match_controls(e, t)))
+        if single_control:
+            assert est.n_control == 1
+
     def test_att_recovers_constant_effect(self):
         rng = make_rng(19)
         n = 4000

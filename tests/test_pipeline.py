@@ -300,7 +300,8 @@ def count_calls(monkeypatch, name, module=pipeline):
 
 class TestDispatchTables:
     """The tables look functions up by module name when called, and the
-    propensity model is fitted once per query and once per refuted frame."""
+    propensity model is fitted once per query and once per refuted frame
+    whose treatment or adjustment columns are new."""
 
     def spec(self, query_dir, **changes):
         spec = parse_query_spec(query_dir / "query.spec")
@@ -348,8 +349,25 @@ class TestDispatchTables:
         reps = 3
         run_query(self.spec(query_dir, estimators=("psm",), refuters=("placebo_treatment",),
                             refuter_repetitions=reps))
-        # the query's own estimate, then the refuter's original and one per repetition
-        assert len(fits) == len(matches) == 1 + 1 + reps
+        # the query's own estimate, then one per repetition: the refuter takes
+        # the original effect from the query's effect row
+        assert len(fits) == len(matches) == 1 + reps
+
+    @pytest.mark.parametrize("reps", [1, 3])
+    @pytest.mark.parametrize("refuter, fits_per_rep", [
+        ("unobserved_confounder", False),
+        ("placebo_treatment", True),
+        ("random_common_cause", True),
+        ("data_subset", True),
+    ])
+    def test_refuter_refits_only_when_treatment_or_adjustment_moves(
+            self, query_dir, monkeypatch, refuter, fits_per_rep, reps):
+        fits = count_calls(monkeypatch, "fit_propensity")
+        run_query(self.spec(query_dir, estimators=("psm",), refuters=(refuter,),
+                            refuter_repetitions=reps))
+        # the query's own fit, then one per repetition, or one for all of them
+        # when a repetition replaces only the outcome column
+        assert len(fits) == 1 + (reps if fits_per_rep else 1)
 
 
 class TestNuisanceFits:
@@ -509,6 +527,23 @@ class TestReportPins:
             "ite_X-linear.csv": "578ba8dcc3139cf5e9850c6d7195cf70fdf6b403727ab9fa012bbf2188730a0b",
             "refutations.csv": "3668a274da1f02b0dfde54aaabceb6e4bfceeea062115b9ae76b534f6abc9d7b",
         }
+
+    # Taken before the refuted task reused a propensity fit across frames
+    # that share the treatment and adjustment columns.
+    PROPENSITY_TARGET_PINS = {
+        "psm": "7f9e98a79dc16a868e2bea9cf6656cf85cd92319122c43c3c51d9ad1df79d3a0",
+        "ipw": "8129f3bb75dd32ba6bece43022c0969d780bf8844c4520240625e410d59e26b6",
+        "stratification": "d46e75913668e0424e8089c5d66e48f49d1b4e355d0d1f26a090920b5bf720e5",
+    }
+
+    @pytest.mark.parametrize("target", sorted(PROPENSITY_TARGET_PINS))
+    def test_refuting_a_propensity_target(self, query_dir, target):
+        spec = dataclasses.replace(parse_query_spec(query_dir / "query.spec"),
+                                   estimators=(target,), metalearners=(),
+                                   refuters=pipeline.REFUTER_NAMES)
+        rep = run_query(spec)
+        rep = dict(rep, query=dict(rep["query"], data="data.csv", graph="model.graph"))
+        assert _sha256(report_to_json(rep)) == self.PROPENSITY_TARGET_PINS[target]
 
     def test_validation(self, tmp_path):
         rep = run_validation(n=600, repetitions=1, out_dir=tmp_path)

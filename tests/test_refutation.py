@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 from pathlib import Path
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import simulate_confounder_all_rows
 from scipy import stats
 
 from causet.estimators import fit_propensity, ipw_ate, regression_adjustment
@@ -14,12 +16,13 @@ from causet.graph import backdoor_sets, parse_graph
 from causet.refutation import (
     EstimationTask,
     _normal_tail_p,
+    _simulate_confounder,
     refute_placebo,
     refute_random_common_cause,
     refute_subset,
     refute_unobserved_confounder,
 )
-from causet.rng import make_rng
+from causet.rng import derive_seed, make_rng
 from causet.synth import generate
 
 SAMPLE_QUERIES = Path(__file__).parent.parent / "sample_queries"
@@ -200,6 +203,60 @@ class TestUnobservedConfounder:
             refute_unobserved_confounder(regression_task(), f, 1.0, 0.5, 2, 0)
 
 
+def _arms(n, share):
+    tv = np.zeros(n)
+    tv[:: round(1 / share)] = 1.0
+    return tv
+
+
+class _RoundCounter:
+    """A generator that counts the sampler's rounds (one normal draw each)."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.rounds = 0
+
+    def standard_normal(self, n):
+        self.rounds += 1
+        return self.rng.standard_normal(n)
+
+    def random(self, n):
+        return self.rng.random(n)
+
+    def uniform(self, size):
+        return self.rng.uniform(size=size)
+
+
+class TestConfounderSampler:
+    """The sampler evaluates only pending rows, yet draws what the all-rows
+    oracle draws and returns its u bit for bit."""
+
+    @pytest.mark.parametrize("share", [0.05, 0.5])
+    @pytest.mark.parametrize("base_p", [0.05, 0.5, 0.95])
+    @pytest.mark.parametrize("strength_t", [0.0, 0.5, 0.99])
+    def test_same_bits_as_all_rows_oracle(self, strength_t, base_p, share):
+        tv = _arms(2000, share)
+        for i in range(3):
+            rng, oracle_rng = make_rng(derive_seed(11, i)), make_rng(derive_seed(11, i))
+            u = _simulate_confounder(rng, tv, strength_t, base_p)
+            expected = simulate_confounder_all_rows(oracle_rng, tv, strength_t, base_p)
+            np.testing.assert_array_equal(u.view(np.int64), expected.view(np.int64))
+            # both consumed the same draws: the streams go on alike
+            np.testing.assert_array_equal(rng.random(8), oracle_rng.random(8))
+
+    def test_round_cap_compared(self):
+        # At 5% prevalence treated rows accept with probability near 0.05 per
+        # round, so a few of the 100 are still pending when the 64 rounds end
+        # and keep their last proposal.
+        tv = _arms(2000, 0.05)
+        for i in range(3):
+            rng, oracle_rng = (_RoundCounter(make_rng(derive_seed(11, i))) for _ in range(2))
+            u = _simulate_confounder(rng, tv, 0.5, 0.05)
+            expected = simulate_confounder_all_rows(oracle_rng, tv, 0.5, 0.05)
+            assert rng.rounds == oracle_rng.rounds == 64
+            np.testing.assert_array_equal(u.view(np.int64), expected.view(np.int64))
+
+
 class TestRepetitions:
     @pytest.mark.parametrize("refute", [
         lambda task, f, reps: refute_random_common_cause(task, f, reps, 1),
@@ -321,9 +378,10 @@ class TestOnSyntheticGroundTruth:
 REFUTERS = {
     "random_common_cause": refute_random_common_cause,
     "placebo_treatment": refute_placebo,
-    "data_subset": lambda task, f, reps, seed: refute_subset(task, f, 0.8, reps, seed),
-    "unobserved_confounder":
-        lambda task, f, reps, seed: refute_unobserved_confounder(task, f, 0.5, 0.5, reps, seed),
+    "data_subset": lambda task, f, reps, seed, original=None:
+        refute_subset(task, f, 0.8, reps, seed, original),
+    "unobserved_confounder": lambda task, f, reps, seed, original=None:
+        refute_unobserved_confounder(task, f, 0.5, 0.5, reps, seed, original),
 }
 
 
@@ -376,6 +434,48 @@ class TestVerdictMatchesReport:
             if name == "unobserved_confounder":
                 lo, hi = rep.refuted_effects[0], rep.refuted_effects[-1]
                 assert rep.verdict_rule.startswith(f"induced effect range [{lo!r}, {hi!r}] ")
+
+
+def _hex_fields(rep) -> dict:
+    """Every report field, floats as ``float.hex`` so equality is bitwise."""
+    def bits(v):
+        if isinstance(v, float):
+            return v.hex()
+        if isinstance(v, tuple):
+            return tuple(map(bits, v))
+        return v
+    return {field.name: bits(getattr(rep, field.name)) for field in dataclasses.fields(rep)}
+
+
+def ipw_task(z=("x",)):
+    return EstimationTask(
+        estimate=lambda f, zz: ipw_ate(f, "t", "y", fit_propensity(f, "t", zz)).value,
+        treatment="t",
+        outcome="y",
+        adjustment=tuple(z),
+    )
+
+
+class TestOriginalFromCaller:
+    """A caller that passes the original effect gets the report the library
+    computes without it, field for field."""
+
+    @pytest.mark.parametrize("make_task", [regression_task, ipw_task])
+    @pytest.mark.parametrize("name", sorted(REFUTERS))
+    def test_given_original_matches_computed(self, name, make_task):
+        task, f = make_task(), sample_frame(3, n=400)
+        computed = REFUTERS[name](task, f, 5, 7)
+        given = REFUTERS[name](task, f, 5, 7, task.run(f))
+        assert _hex_fields(given) == _hex_fields(computed)
+
+    @pytest.mark.parametrize("name", sorted(REFUTERS))
+    def test_given_original_is_not_estimated_again(self, name):
+        runs = []
+        task = EstimationTask(estimate=lambda fr, z: runs.append(fr) or 1.0,
+                              treatment="t", outcome="y", adjustment=("x",))
+        rep = REFUTERS[name](task, sample_frame(n=50), 3, 0, 2.0)
+        assert len(runs) == 3
+        assert rep.original_effect == 2.0
 
 
 def _sha256(text: str) -> str:
