@@ -56,11 +56,27 @@ class PropensityModel:
         self.model = model
         self.adjustment = tuple(adjustment)
         self.clip = clip
+        self._last: tuple = ()  # (adjustment columns, scores) of the last call
 
     def scores(self, f: Frame) -> np.ndarray:
-        """Clipped propensity scores for every row of ``f``."""
+        """Clipped propensity scores for every row of ``f``, as a read-only array.
+
+        The last result is kept and handed out again, as the same object,
+        while ``f`` has as many rows and holds the very same adjustment
+        ``Column`` objects (compared by identity).  Columns are immutable,
+        so the same objects give the same scores bit for bit: a frame that
+        replaces only the outcome reuses them.  Only one result is kept.
+        """
+        if self._last:
+            cols, e = self._last
+            if len(e) == f.n_rows and all(
+                    f.column(name) is c for name, c in zip(self.adjustment, cols)):
+                return e
         X = f.numeric_matrix(self.adjustment)
-        return np.clip(self.model.predict(X, self.adjustment), self.clip, 1.0 - self.clip)
+        e = np.clip(self.model.predict(X, self.adjustment), self.clip, 1.0 - self.clip)
+        e.setflags(write=False)
+        self._last = tuple(f.column(name) for name in self.adjustment), e
+        return e
 
 
 def _treatment_vector(f: Frame, t: str) -> np.ndarray:
@@ -105,23 +121,27 @@ def _match_controls(e: np.ndarray, tv: np.ndarray) -> np.ndarray:
     """Row index of the matched control for each treated row, in row order.
 
     The match minimises the computed ``abs(e_t - e_c)``; among equal
-    distances the lowest row index wins.  Control scores are stable-sorted
-    and collapsed into runs of equal scores, each represented by its lowest
-    row.  A treated score is searched into the runs and compared with the
-    nearest run on each side.  Rounding can give several distinct
-    neighbouring scores on one side the same computed distance, so each side
-    keeps stepping outward while the next run still ties the minimum.
+    distances the lowest row index wins.  Control scores are sorted (in any
+    order among equal scores) and collapsed into runs of equal scores, each
+    represented by its lowest row.  The treated scores are searched into the
+    runs in ascending order, which keeps each search near the last one, and
+    each is compared with the nearest run on either side.  Rounding can give
+    several distinct neighbouring scores on one side the same computed
+    distance, so each side keeps stepping outward while the next run still
+    ties the minimum.
     """
     e_t = e[tv == 1.0]
     control = np.flatnonzero(tv == 0.0)
     e_c = e[control]
-    order = np.argsort(e_c, kind="stable")
+    order = np.argsort(e_c)
     s = e_c[order]
     starts = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
     # Infinite sentinels on both ends stop the outward steps.
     u = np.r_[-np.inf, s[starts], np.inf]
-    lowest = np.r_[-1, control[order[starts]], -1]
-    k = np.searchsorted(u, e_t)  # u[k - 1] < e_t <= u[k]
+    lowest = np.r_[-1, np.minimum.reduceat(control[order], starts), -1]
+    by_score = np.argsort(e_t)
+    k = np.empty(len(e_t), dtype=np.intp)
+    k[by_score] = np.searchsorted(u, e_t[by_score])  # u[k - 1] < e_t <= u[k]
     d = np.minimum(np.abs(e_t - u[k - 1]), np.abs(e_t - u[k]))
     matched = np.full(len(e_t), len(e), dtype=np.int64)
     for step, j in ((-1, k - 1), (1, k)):
@@ -135,6 +155,10 @@ def _match_controls(e: np.ndarray, tv: np.ndarray) -> np.ndarray:
     return matched
 
 
+# (scores, treatment values, matched rows) of the last matching psm_att kept.
+_last_matching: tuple = ()
+
+
 def psm_att(
     f: Frame, t: str, y: str, z: Sequence[str], pm: PropensityModel
 ) -> EffectEstimate:
@@ -142,19 +166,30 @@ def psm_att(
 
     Each treated unit is matched to the control whose clipped score gives the
     smallest computed ``abs(e_t - e_c)``; equal distances go to the lowest
-    row index.  Matching is a sorted search: a stable argsort of the control
-    scores, ``searchsorted`` of each treated score, and a comparison with the
-    nearest distinct score on each side (see :func:`_match_controls`).  It
-    costs O((n_t + n_c) log n_c) time, plus one vectorised step for each
-    further score that rounding ties (about 16 at most for scores in
-    [0.05, 0.95]), and O(n) memory.  The effect is the
-    mean of (treated outcome - matched control outcome); ``n_control``
-    counts the distinct matched controls.
+    row index.  Matching is a sorted search: an argsort of the control
+    scores, ``searchsorted`` of the treated scores in ascending order, and a
+    comparison with the nearest distinct score on each side (see
+    :func:`_match_controls`).  It costs O(n_t log n_t + n_c log n_c) time,
+    plus one vectorised step for each further score that rounding ties
+    (about 16 at most for scores in [0.05, 0.95]), and O(n) memory.  The
+    effect is the mean of (treated outcome - matched control outcome);
+    ``n_control`` counts the distinct matched controls.
+
+    The last matching is kept and reused while ``pm.scores(f)`` and the
+    treatment values are the very same read-only arrays, so a frame that
+    replaces only the outcome is not matched again.
     """
+    global _last_matching
     tv = _treatment_vector(f, t)
     yv = f.column(y).values
     treated = np.flatnonzero(tv == 1.0)
-    matched = _match_controls(pm.scores(f), tv)
+    e = pm.scores(f)
+    if _last_matching and _last_matching[0] is e and _last_matching[1] is tv:
+        matched = _last_matching[2]
+    else:
+        matched = _match_controls(e, tv)
+        if not (e.flags.writeable or tv.flags.writeable):
+            _last_matching = e, tv, matched
     effect = float(np.mean(yv[treated] - yv[matched]))
     return EffectEstimate(
         method="psm",

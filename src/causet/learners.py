@@ -439,11 +439,13 @@ def _sigmoid(eta: np.ndarray) -> np.ndarray:
     """The logistic function of ``eta`` clipped to [-35, 35], without overflow.
 
     ``exp`` only ever sees ``-|eta|``: ``1 / (1 + ex)`` for a non-negative
-    logit and ``ex / (1 + ex)`` for a negative one.
+    logit and ``ex / (1 + ex)`` for a negative one.  The numerator is picked
+    by ``maximum(ex, eta >= 0)``, a select that does not branch per element:
+    ``0 < ex <= 1``, so it is 1 for a non-negative logit and ``ex`` otherwise.
     """
     eta = np.clip(eta, -35.0, 35.0)
     ex = np.exp(-np.abs(eta))
-    return np.where(eta >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
+    return np.maximum(ex, eta >= 0) / (1.0 + ex)
 
 
 def _check_xy(X, y, w=None, feature_names=None):
@@ -516,27 +518,39 @@ def fit_logistic(
     Stops when the largest coefficient change drops below ``tolerance`` or at
     ``max_iterations``; hitting the cap (e.g. on separable data) is not an
     error.  Raises :class:`SingleClassError` unless both classes are present.
+
+    The design ``[1, X]`` is filled in place once, and the weighted design
+    ``W X`` of every iteration is written column by column into one
+    C-contiguous buffer of the same shape (a broadcast multiply would walk
+    rows of only k + 1 values and take about twice as long).
     """
     spec = spec or LearnerSpec("logistic")
     if spec.kind != "logistic":
         raise ValueError(f"spec kind {spec.kind!r} is not logistic")
     X, y, _, names = _check_xy(X, y, None, feature_names)
-    classes = np.unique(y)
-    if not np.all(np.isin(classes, (0.0, 1.0))):
+    ones = y == 1.0
+    if not np.all(ones | (y == 0.0)):
         raise ValueError("y must be a 0/1 vector")
-    if len(classes) < 2:
+    n_ones = np.count_nonzero(ones)
+    if n_ones == 0 or n_ones == len(y):
         raise SingleClassError("logistic fit needs both classes present")
 
     n, k = X.shape
-    design = np.column_stack([np.ones(n), X])
+    design = np.empty((n, k + 1))
+    design[:, 0] = 1.0
+    design[:, 1:] = X
+    weighted = np.empty_like(design)
     beta = np.zeros(k + 1)
     jitter = 1e-10 * np.eye(k + 1)
     for _ in range(spec.max_iterations):
         eta = design @ beta
         p = _sigmoid(eta)
         wirls = p * (1.0 - p)
+        weighted[:, 0] = wirls  # the intercept column: 1 * w is w
+        for j in range(1, k + 1):
+            np.multiply(design[:, j], wirls, out=weighted[:, j])
         # Solve X'WX b = X'(W eta + (y - p)) -- no division by the weights.
-        lhs = design.T @ (design * wirls[:, None]) + jitter
+        lhs = design.T @ weighted + jitter
         rhs = design.T @ (wirls * eta + (y - p))
         new_beta = np.linalg.solve(lhs, rhs)
         delta = np.max(np.abs(new_beta - beta))

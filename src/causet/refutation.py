@@ -232,7 +232,7 @@ def _simulate_confounder(rng, tv: np.ndarray, strength_t: float, base_p: float) 
     """
     n = tv.shape[0]
     logit_base = math.log(base_p / (1.0 - base_p))
-    treated = tv == 1.0
+    control = 1.0 - tv
     u = np.zeros(n)
     pending = np.arange(n)
     for _ in range(64):
@@ -240,7 +240,9 @@ def _simulate_confounder(rng, tv: np.ndarray, strength_t: float, base_p: float) 
         draw = rng.random(n)[pending]
         u[pending] = proposal
         p_treat = _sigmoid(logit_base + strength_t * proposal)
-        accept_p = np.where(treated[pending], p_treat, 1.0 - p_treat)
+        # p_treat for a treated row (|0 - p|), 1 - p_treat for a control
+        # (|1 - p|), selected without a branch per element
+        accept_p = np.abs(control[pending] - p_treat)
         pending = pending[~(draw < accept_p)]
         if not pending.size:
             break
@@ -264,7 +266,9 @@ def refute_unobserved_confounder(
     factual assignment is kept -- and shifts the outcome additively by
     strength_y * u.  The estimate is re-run without conditioning on u, so
     the report shows the effect range a hidden confounder of this strength
-    would induce.  Zero strengths leave the frame untouched, bit for bit.
+    would induce.  With ``strength_y`` zero the frame is left untouched, bit
+    for bit, and no confounder is drawn: each repetition has its own stream,
+    so skipping the draw moves nothing.
     """
     for s in (strength_t, strength_y):
         if not 0.0 <= s < 1.0:
@@ -274,11 +278,11 @@ def refute_unobserved_confounder(
     base_p = min(max(float(tv.mean()), 0.05), 0.95)
 
     def perturb(rng):
+        if strength_y == 0.0:
+            return (f,)
         u = _simulate_confounder(rng, tv, strength_t, base_p)
-        if strength_y > 0.0:
-            y = yc.values + strength_y * u
-            return (f.with_column(Column(task.outcome, "numeric", y, yc.missing)),)
-        return (f,)
+        y = yc.values + strength_y * u
+        return (f.with_column(Column(task.outcome, "numeric", y, yc.missing)),)
 
     def judge(original, refuted, mean):
         return "info", (

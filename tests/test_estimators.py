@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import psm_match_bruteforce, psm_match_chunked
 
-from causet.errors import NoValidStrataError, SingleClassError
+from causet import estimators
+from causet.errors import NoValidStrataError, SingleClassError, UnknownColumnError
 from causet.estimators import (
     PropensityModel,
     _match_controls,
@@ -16,7 +17,7 @@ from causet.estimators import (
     regression_adjustment,
     stratified_ate,
 )
-from causet.frame import Frame
+from causet.frame import Column, Frame
 from causet.rng import make_rng
 from causet.synth import generate
 
@@ -65,6 +66,53 @@ class TestFitPropensity:
     def test_clip_bounds_enforced(self):
         with pytest.raises(ValueError):
             PropensityModel(None, (), clip=0.6)
+
+
+class TestScoresMemo:
+    """The model keeps its last scores, keyed by the identity of the
+    adjustment columns and the row count, and hands them out read-only."""
+
+    @staticmethod
+    def world(n=300, seed=5):
+        rng = make_rng(seed)
+        x = rng.standard_normal(n)
+        t = (rng.uniform(size=n) < 1.0 / (1.0 + np.exp(-x))).astype(float)
+        return make_frame(t, x + t + rng.standard_normal(n), x=x)
+
+    def test_shared_columns_give_the_same_object(self):
+        f = self.world()
+        pm = fit_propensity(f, "t", ("x",))
+        e = pm.scores(f)
+        assert not e.flags.writeable
+        y = f.column("y")
+        g = f.with_column(Column("y", "numeric", y.values + 1.0, y.missing))
+        assert pm.scores(g) is e
+
+    def test_equal_new_column_gives_equal_values_in_a_new_object(self):
+        f = self.world()
+        pm = fit_propensity(f, "t", ("x",))
+        e = pm.scores(f)
+        x = f.column("x")
+        g = f.with_column(Column("x", "numeric", x.values, x.missing))
+        e2 = pm.scores(g)
+        assert e2 is not e and not e2.flags.writeable
+        np.testing.assert_array_equal(e2, e)
+        # one entry: the first frame is scored again
+        assert pm.scores(f) is not e
+
+    def test_row_count_is_part_of_the_key(self):
+        f = self.world()
+        pm = fit_propensity(f, "t", ())
+        e = pm.scores(f)
+        sub = pm.scores(f.subset_rows(np.arange(10)))
+        assert len(e) == f.n_rows and len(sub) == 10
+
+    def test_errors_unchanged_with_a_kept_result(self):
+        f = self.world()
+        pm = fit_propensity(f, "t", ("x",))
+        pm.scores(f)
+        with pytest.raises(UnknownColumnError):
+            pm.scores(f.drop("x"))
 
 
 class TestRegressionAdjustment:
@@ -122,6 +170,19 @@ class ConstantPropensity:
         return self._scores[: f.n_rows]
 
 
+class SameScores:
+    """Stub propensity model that hands out the very same array every call."""
+
+    adjustment = ()
+    clip = 0.05
+
+    def __init__(self, e):
+        self.e = e
+
+    def scores(self, f):
+        return self.e
+
+
 class TestPsm:
     def test_nearest_neighbor(self):
         f = make_frame([1, 0, 0], [10.0, 1.0, 2.0])
@@ -129,6 +190,34 @@ class TestPsm:
         est = psm_att(f, "t", "y", (), pm)
         assert est.value == pytest.approx(10.0 - 2.0)
         assert est.estimand == "ATT"
+
+    def test_matching_reused_only_for_the_same_read_only_arrays(self, monkeypatch):
+        calls = []
+
+        def counted(e, tv):
+            calls.append(1)
+            return _match_controls(e, tv)
+
+        monkeypatch.setattr(estimators, "_match_controls", counted)
+        f = make_frame([1, 0, 0], [10.0, 1.0, 2.0])
+        e = np.array([0.5, 0.4, 0.45])
+        e.setflags(write=False)
+        pm = SameScores(e)
+        assert psm_att(f, "t", "y", (), pm).value == 8.0
+        t = f.column("t")
+        g = f.with_column(Column("y", "numeric", [20.0, 1.0, 4.0], np.zeros(3, dtype=bool)))
+        assert psm_att(g, "t", "y", (), pm).value == 16.0
+        assert len(calls) == 1
+        h = f.with_column(Column("t", "binary", t.values, t.missing))
+        assert psm_att(h, "t", "y", (), pm).value == 8.0
+        assert len(calls) == 2
+
+    def test_writable_scores_are_matched_again(self):
+        f = make_frame([1, 0, 0], [10.0, 1.0, 2.0])
+        pm = SameScores(np.array([0.5, 0.4, 0.45]))
+        assert psm_att(f, "t", "y", (), pm).value == 8.0
+        pm.e[1] = 0.49
+        assert psm_att(f, "t", "y", (), pm).value == 9.0
 
     def test_tie_break_lowest_row_index(self):
         f = make_frame([1, 0, 0], [10.0, 1.0, 2.0])
@@ -249,6 +338,28 @@ class TestPsmMatching:
     )
     def test_one_treated(self, e_t, e_c, shuffle):
         _assert_matches_oracle([e_t], e_c, shuffle)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        e_t=st.lists(grid_scores, min_size=1, max_size=15),
+        runs=st.lists(st.tuples(grid_scores, st.integers(4, 16)), min_size=2, max_size=5,
+                      unique_by=lambda run: run[0]),
+        shuffle=shuffles,
+    )
+    def test_runs_of_equal_control_scores(self, e_t, runs, shuffle):
+        # each run's lowest row must win whatever order the sort leaves it in
+        e_c = [score for score, size in runs for _ in range(size)]
+        _assert_matches_oracle(e_t, e_c, shuffle)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        e_t=st.lists(grid_scores, min_size=1, max_size=15),
+        e_c=grid_scores,
+        size=st.integers(2, 40),
+        shuffle=shuffles,
+    )
+    def test_all_controls_equal(self, e_t, e_c, size, shuffle):
+        _assert_matches_oracle(e_t, [e_c] * size, shuffle)
 
     def test_rounding_tie_goes_to_lowest_row(self):
         # Four distinct controls one ulp apart, all at the same computed

@@ -103,6 +103,20 @@ class TestFitLogistic:
         with pytest.raises(SingleClassError):
             fit_logistic(np.zeros((3, 1)), np.ones(3))
 
+    @pytest.mark.parametrize("y", [[0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0]])
+    def test_all_zero_or_all_one_rejected(self, y):
+        X = np.array([[-1.0], [1.0], [-2.0], [2.0]])
+        with pytest.raises(SingleClassError, match="both classes"):
+            fit_logistic(X, np.array(y))
+
+    @pytest.mark.parametrize("bad", [2.0, 0.5, np.nan])
+    @pytest.mark.parametrize("others", [[0.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
+    def test_non_binary_y_rejected(self, bad, others):
+        # a value outside {0, 1} is named before a missing class is
+        X = np.array([[-1.0], [1.0], [-2.0], [2.0]])
+        with pytest.raises(ValueError, match=r"^y must be a 0/1 vector$"):
+            fit_logistic(X, np.array([*others, bad]))
+
     def test_separable_hits_cap_and_stays_monotone(self):
         x = np.linspace(-2, 2, 40).reshape(-1, 1)
         y = (x[:, 0] > 0).astype(float)
@@ -143,6 +157,14 @@ class TestSigmoid:
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=True), min_size=1, max_size=50))
     def test_bit_equal_to_two_branch(self, values):
         eta = np.array(values + self.EDGES)
+        assert np.array_equal(self.bits(_sigmoid(eta)), self.bits(sigmoid_two_branch(eta)))
+
+    def test_bit_equal_where_exp_rounds_to_one(self):
+        # exp(-|eta|) is at or next to 1 here, where the numerator select
+        # must still give 1 for eta >= 0 and exp(-|eta|) otherwise
+        tiny = np.ldexp(1.0, -np.arange(40, 1075))
+        eta = np.concatenate([tiny, -tiny, np.arange(1, 4096) * 2.0**-60,
+                              np.arange(1, 4096) * -(2.0**-60)])
         assert np.array_equal(self.bits(_sigmoid(eta)), self.bits(sigmoid_two_branch(eta)))
 
     def test_nan_stays_nan(self):

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from causet import metalearners, pipeline
+from causet import estimators, metalearners, pipeline
 from causet.errors import NotIdentifiableError, ParseError, SchemaMismatchError
 from causet.frame import write_csv
 from causet.pipeline import (
@@ -300,8 +300,8 @@ def count_calls(monkeypatch, name, module=pipeline):
 
 class TestDispatchTables:
     """The tables look functions up by module name when called, and the
-    propensity model is fitted once per query and once per refuted frame
-    whose treatment or adjustment columns are new."""
+    propensity model is fitted (and psm matches) once per query and once per
+    refuted frame whose treatment or adjustment columns are new."""
 
     def spec(self, query_dir, **changes):
         spec = parse_query_spec(query_dir / "query.spec")
@@ -368,6 +368,22 @@ class TestDispatchTables:
         # the query's own fit, then one per repetition, or one for all of them
         # when a repetition replaces only the outcome column
         assert len(fits) == 1 + (reps if fits_per_rep else 1)
+
+    @pytest.mark.parametrize("reps", [1, 3])
+    @pytest.mark.parametrize("refuter, matches_per_rep", [
+        ("unobserved_confounder", False),
+        ("placebo_treatment", True),
+        ("random_common_cause", True),
+        ("data_subset", True),
+    ])
+    def test_refuter_matches_again_only_when_scores_or_treatment_move(
+            self, query_dir, monkeypatch, refuter, matches_per_rep, reps):
+        matches = count_calls(monkeypatch, "_match_controls", estimators)
+        run_query(self.spec(query_dir, estimators=("psm",), refuters=(refuter,),
+                            refuter_repetitions=reps))
+        # the query's own matching, then one per repetition, or one for all of
+        # them when a repetition keeps the fit and the treatment column
+        assert len(matches) == 1 + (reps if matches_per_rep else 1)
 
 
 class TestNuisanceFits:

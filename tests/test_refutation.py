@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import simulate_confounder_all_rows
 from scipy import stats
 
+from causet import refutation
 from causet.estimators import fit_propensity, ipw_ate, regression_adjustment
 from causet.frame import Frame
 from causet.graph import backdoor_sets, parse_graph
@@ -177,6 +178,29 @@ class TestUnobservedConfounder:
         )
         assert all(e == rep.original_effect for e in rep.refuted_effects)
         assert rep.relative_change == 0.0
+
+    # sha256 of repr(report) at strength_y 0, 30 repetitions and seed 7,
+    # taken while every repetition still drew a confounder and dropped it
+    NO_OUTCOME_STRENGTH_PINS = {
+        0.0: "2c247ec26d42c2ec56976f836e11840bccf044fff12fc3aab66a15ddb13d3bb8",
+        0.5: "51ed28925f7c19ac61ce26ecaad45fc5e49c0172cf2ffa4212f7ca78f761d873",
+    }
+
+    @pytest.mark.parametrize("strength_t", sorted(NO_OUTCOME_STRENGTH_PINS))
+    def test_no_outcome_strength_draws_nothing(self, monkeypatch, strength_t):
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return _simulate_confounder(*args)
+
+        monkeypatch.setattr(refutation, "_simulate_confounder", counted)
+        f = sample_frame()
+        rep = refute_unobserved_confounder(regression_task(), f, strength_t, 0.0, 30, 7)
+        assert calls == []
+        assert _sha256(repr(rep)) == self.NO_OUTCOME_STRENGTH_PINS[strength_t]
+        refute_unobserved_confounder(regression_task(), f, strength_t, 0.5, 3, 7)
+        assert len(calls) == 3
 
     def test_nonzero_strength_moves_estimate(self):
         f = sample_frame(14, n=3000)
