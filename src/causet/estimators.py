@@ -44,6 +44,12 @@ class EffectEstimate:
 class PropensityModel:
     """Fitted treatment-assignment model with clipped scores.
 
+    A model made by :func:`fit_propensity` keeps its fitting frame's
+    treatment and adjustment ``Column`` objects, its scores there and, once
+    made, its matching there.  Columns are immutable, so the kept results
+    answer, bit for bit, on any frame that holds those very objects
+    (:meth:`fitted_on`), as one that replaces only the outcome does.
+
     Args:
         model: Logistic model of treatment on the adjustment set.
         adjustment: Covariate names the model was fitted on.
@@ -56,26 +62,34 @@ class PropensityModel:
         self.model = model
         self.adjustment = tuple(adjustment)
         self.clip = clip
-        self._last: tuple = ()  # (adjustment columns, scores) of the last call
+        self._columns: tuple = ()  # (treatment, *adjustment) columns of the fitting frame
+        self._scores = self._matched = None  # the scores and the matching there
+
+    def fitted_on(self, f: Frame, t: str) -> bool:
+        """Whether ``f`` holds, as ``t`` and the adjustment set, the very
+        ``Column`` objects this model was fitted on (compared by identity)."""
+        names = f.names
+        return bool(self._columns) and all(
+            name in names and f.column(name) is c
+            for name, c in zip((t, *self.adjustment), self._columns))
 
     def scores(self, f: Frame) -> np.ndarray:
-        """Clipped propensity scores for every row of ``f``, as a read-only array.
+        """Clipped propensity scores for every row of ``f``, as a read-only array."""
+        if self._columns and self.fitted_on(f, self._columns[0].name):
+            return self._scores
+        return self._clip_predict(f.numeric_matrix(self.adjustment))
 
-        The last result is kept and handed out again, as the same object,
-        while ``f`` has as many rows and holds the very same adjustment
-        ``Column`` objects (compared by identity).  Columns are immutable,
-        so the same objects give the same scores bit for bit: a frame that
-        replaces only the outcome reuses them.  Only one result is kept.
-        """
-        if self._last:
-            cols, e = self._last
-            if len(e) == f.n_rows and all(
-                    f.column(name) is c for name, c in zip(self.adjustment, cols)):
-                return e
-        X = f.numeric_matrix(self.adjustment)
+    def match(self, f: Frame, t: str) -> np.ndarray:
+        """Each treated row's matched control (:func:`_match_controls`), kept on the fitting frame."""
+        if not self.fitted_on(f, t):
+            return _match_controls(self.scores(f), f.binary_vector(t))
+        if self._matched is None:
+            self._matched = _match_controls(self._scores, f.binary_vector(t))
+        return self._matched
+
+    def _clip_predict(self, X: np.ndarray) -> np.ndarray:
         e = np.clip(self.model.predict(X, self.adjustment), self.clip, 1.0 - self.clip)
         e.setflags(write=False)
-        self._last = tuple(f.column(name) for name in self.adjustment), e
         return e
 
 
@@ -96,8 +110,10 @@ def fit_propensity(
     """
     tv = _treatment_vector(f, t)
     X = f.numeric_matrix(z)
-    model = fit_logistic(X, tv, feature_names=tuple(z))
-    return PropensityModel(model, tuple(z), clip)
+    pm = PropensityModel(fit_logistic(X, tv, feature_names=tuple(z)), tuple(z), clip)
+    pm._columns = tuple(f.column(name) for name in (t, *z))
+    pm._scores = pm._clip_predict(X)
+    return pm
 
 
 def regression_adjustment(f: Frame, t: str, y: str, z: Sequence[str]) -> EffectEstimate:
@@ -155,10 +171,6 @@ def _match_controls(e: np.ndarray, tv: np.ndarray) -> np.ndarray:
     return matched
 
 
-# (scores, treatment values, matched rows) of the last matching psm_att kept.
-_last_matching: tuple = ()
-
-
 def psm_att(
     f: Frame, t: str, y: str, z: Sequence[str], pm: PropensityModel
 ) -> EffectEstimate:
@@ -173,23 +185,13 @@ def psm_att(
     plus one vectorised step for each further score that rounding ties
     (about 16 at most for scores in [0.05, 0.95]), and O(n) memory.  The
     effect is the mean of (treated outcome - matched control outcome);
-    ``n_control`` counts the distinct matched controls.
-
-    The last matching is kept and reused while ``pm.scores(f)`` and the
-    treatment values are the very same read-only arrays, so a frame that
-    replaces only the outcome is not matched again.
+    ``n_control`` counts the distinct matched controls.  ``pm`` makes the
+    matching once on its fitting frame (:meth:`PropensityModel.match`).
     """
-    global _last_matching
     tv = _treatment_vector(f, t)
     yv = f.column(y).values
     treated = np.flatnonzero(tv == 1.0)
-    e = pm.scores(f)
-    if _last_matching and _last_matching[0] is e and _last_matching[1] is tv:
-        matched = _last_matching[2]
-    else:
-        matched = _match_controls(e, tv)
-        if not (e.flags.writeable or tv.flags.writeable):
-            _last_matching = e, tv, matched
+    matched = pm.match(f, t)
     effect = float(np.mean(yv[treated] - yv[matched]))
     return EffectEstimate(
         method="psm",

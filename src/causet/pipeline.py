@@ -225,8 +225,9 @@ def resolved_spec(spec: QuerySpec) -> dict:
 
 
 def report_to_json(report: Mapping) -> str:
-    """Canonical JSON rendering; identical reports give identical bytes."""
-    return json.dumps(dict(report), indent=2, sort_keys=True) + "\n"
+    """Canonical JSON rendering; identical reports give identical bytes.
+    A NaN or infinity, which RFC 8259 JSON cannot hold, raises ValueError."""
+    return json.dumps(dict(report), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _write_table(path: Path, fields: Sequence[str], rows: Iterable[Mapping]) -> None:
@@ -294,25 +295,19 @@ def _t_fit(frame: Frame, t: str, y: str, z: Sequence[str]):
     return functools.cache(lambda base_spec: metalearners.t_learner(frame, t, y, z, base_spec))
 
 
-def _estimator_task(method: str, spec: QuerySpec, z: tuple[str, ...]) -> EstimationTask:
-    """``method`` adjusting for ``z``, with the propensity model of its last run.
+def _estimator_task(method: str, spec: QuerySpec, z: tuple[str, ...], pm) -> EstimationTask:
+    """``method`` adjusting for ``z``; a run uses the query's propensity fit ``pm()``
+    when its frame holds the columns that fit was made on (:meth:`PropensityModel.fitted_on`)
+    and it adjusts for ``z`` alone, and fits its own on first use otherwise."""
+    def run(frame: Frame, adjustment: tuple[str, ...]) -> float:
+        @functools.cache
+        def fitted():
+            model = pm()
+            if adjustment == z and model.fitted_on(frame, spec.treatment):
+                return model
+            return fit_propensity(frame, spec.treatment, adjustment, clip=spec.propensity_clip)
 
-    A run reuses the last run's propensity getter when its frame holds the
-    very same treatment and adjustment ``Column`` objects (compared by
-    identity), and takes a new getter otherwise.  Columns are immutable, so
-    the same objects mean the same fit, bit for bit: an outcome-only
-    perturbation fits once, while a new treatment, adjustment set or row
-    subset refits.  Only the last getter is kept.
-    """
-    made_for: tuple = ()  # the treatment and adjustment columns ``pm`` was made for
-    pm = None
-
-    def run(frame: Frame, z: tuple[str, ...]) -> float:
-        nonlocal made_for, pm
-        cols = tuple(frame.column(name) for name in (spec.treatment, *z))
-        if len(cols) != len(made_for) or any(a is not b for a, b in zip(cols, made_for)):
-            made_for, pm = cols, _propensity(frame, spec.treatment, z, spec.propensity_clip)
-        return ESTIMATORS[method](frame, spec, z, pm).value
+        return ESTIMATORS[method](frame, spec, adjustment, fitted).value
 
     return EstimationTask(estimate=run, treatment=spec.treatment, outcome=spec.outcome,
                           adjustment=z)
@@ -369,7 +364,7 @@ def run_query(spec: QuerySpec, out_dir: str | Path | None = None) -> dict:
         if not spec.estimators:
             raise ParseError("refuters need at least one selected estimator to target")
         target = spec.estimators[0]
-        task = _estimator_task(target, spec, z)
+        task = _estimator_task(target, spec, z, pm)
         original = effects[0]["effect"]
         for index, refuter in enumerate(spec.refuters):
             rep = REFUTERS[refuter](task, f, spec, derive_seed(spec.seed, index), original)

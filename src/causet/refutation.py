@@ -3,8 +3,8 @@
 A refuter re-runs an estimation procedure on perturbed copies of the data
 and summarizes how far the estimate moves.  Procedures are described by an
 :class:`EstimationTask`, so the refuters hand each perturbed frame to the
-task and the task decides what to re-fit on it (the pipeline's task refits
-the propensity model only when the treatment or adjustment columns moved).
+task and the task decides what to re-fit on it (the pipeline's task keeps the
+query's propensity fit on any frame that holds the columns it was fitted on).
 
 All four run through one loop, ``_refute``; each refuter supplies only its
 perturbation and its verdict rule.  The unperturbed effect comes from the
@@ -62,14 +62,15 @@ class RefutationReport:
     under a normal fit to the refuted effects.  For the placebo and
     random-common-cause refuters a HIGH p means the perturbation did not
     move the estimate in a way inconsistent with the original; the verdict
-    rule applied is spelled out in ``verdict_rule``.
+    rule applied is spelled out in ``verdict_rule``.  ``relative_change`` is
+    ``|mean_refuted - original| / |original|``, None when only the original is 0.
     """
 
     refuter: str
     original_effect: float
     refuted_effects: tuple[float, ...]
     mean_refuted: float
-    relative_change: float
+    relative_change: float | None
     p_value: float
     repetitions: int
     seed: int
@@ -89,9 +90,9 @@ def _normal_tail_p(refuted: np.ndarray, original: float) -> float:
     return min(1.0, math.erfc(zscore / math.sqrt(2.0)))
 
 
-def _relative_change(mean_refuted: float, original: float) -> float:
+def _relative_change(mean_refuted: float, original: float) -> float | None:
     if original == 0.0:
-        return 0.0 if mean_refuted == 0.0 else math.inf
+        return 0.0 if mean_refuted == 0.0 else None
     return abs(mean_refuted - original) / abs(original)
 
 
@@ -132,7 +133,8 @@ def _refute(
 
 def _stable_judge(original: float, refuted: tuple[float, ...], mean: float) -> tuple[str, str]:
     """The random-common-cause and data-subset rule."""
-    ok = _relative_change(mean, original) < STABLE_CHANGE
+    change = _relative_change(mean, original)
+    ok = change is not None and change < STABLE_CHANGE
     return ("pass" if ok else "fail"), f"pass when relative change < {STABLE_CHANGE}"
 
 

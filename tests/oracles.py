@@ -23,8 +23,10 @@ from causet.frame import (
     _off_01,
     _raise_first_bad_cell,
 )
+from causet.estimators import PropensityModel, fit_propensity, ipw_ate, psm_att, stratified_ate
 from causet.graph import CausalGraph
 from causet.learners import _SPLIT_TOL, _Tree, _sigmoid
+from causet.refutation import EstimationTask
 
 
 # -- d-separation by exhaustive path enumeration -------------------------------
@@ -527,3 +529,24 @@ def simulate_confounder_all_rows(rng, tv: np.ndarray, strength_t: float, base_p:
         if not pending.any():
             break
     return u
+
+
+def fresh_propensity_task(method: str, spec, z: tuple[str, ...]) -> EstimationTask:
+    """The refuted task of ``method`` (psm, ipw or stratification) with nothing kept.
+
+    Every run fits a propensity model on its own frame, then scores and
+    matches through a copy of that model which holds no frame, so no kept
+    fit, score or matching can answer any run.
+    """
+    t, y = spec.treatment, spec.outcome
+
+    def run(frame: Frame, adjustment: tuple[str, ...]) -> float:
+        fit = fit_propensity(frame, t, adjustment, clip=spec.propensity_clip)
+        pm = PropensityModel(fit.model, fit.adjustment, fit.clip)
+        if method == "psm":
+            return psm_att(frame, t, y, adjustment, pm).value
+        if method == "ipw":
+            return ipw_ate(frame, t, y, pm).value
+        return stratified_ate(frame, t, y, pm, k=spec.strata).value
+
+    return EstimationTask(estimate=run, treatment=t, outcome=y, adjustment=tuple(z))

@@ -68,9 +68,10 @@ class TestFitPropensity:
             PropensityModel(None, (), clip=0.6)
 
 
-class TestScoresMemo:
-    """The model keeps its last scores, keyed by the identity of the
-    adjustment columns and the row count, and hands them out read-only."""
+class TestFittedOn:
+    """A model from fit_propensity keeps its fitting frame's treatment and
+    adjustment columns, its scores there and its matching there; a frame
+    that holds those very column objects gets the kept results back."""
 
     @staticmethod
     def world(n=300, seed=5):
@@ -79,40 +80,83 @@ class TestScoresMemo:
         t = (rng.uniform(size=n) < 1.0 / (1.0 + np.exp(-x))).astype(float)
         return make_frame(t, x + t + rng.standard_normal(n), x=x)
 
-    def test_shared_columns_give_the_same_object(self):
+    @staticmethod
+    def counted_matching(monkeypatch):
+        calls = []
+
+        def counted(e, tv):
+            calls.append(1)
+            return _match_controls(e, tv)
+
+        monkeypatch.setattr(estimators, "_match_controls", counted)
+        return calls
+
+    def test_frame_holding_the_columns_gets_the_kept_results(self, monkeypatch):
+        calls = self.counted_matching(monkeypatch)
         f = self.world()
         pm = fit_propensity(f, "t", ("x",))
         e = pm.scores(f)
         assert not e.flags.writeable
         y = f.column("y")
-        g = f.with_column(Column("y", "numeric", y.values + 1.0, y.missing))
+        g = f.with_column(Column("y", "numeric", y.values + f.values("t"), y.missing))
+        assert pm.fitted_on(g, "t")
         assert pm.scores(g) is e
+        assert pm.match(g, "t") is pm.match(f, "t")
+        assert psm_att(g, "t", "y", ("x",), pm).value == pytest.approx(
+            psm_att(f, "t", "y", ("x",), pm).value + 1.0)
+        assert len(calls) == 1
 
-    def test_equal_new_column_gives_equal_values_in_a_new_object(self):
+    def test_kept_scores_are_the_scores_of_the_frame(self):
+        f = self.world()
+        pm = fit_propensity(f, "t", ("x",))
+        fresh = PropensityModel(pm.model, pm.adjustment, pm.clip)
+        assert not fresh.fitted_on(f, "t")
+        np.testing.assert_array_equal(fresh.scores(f), pm.scores(f))
+
+    def test_equal_new_column_gives_equal_bits_in_a_new_array(self):
         f = self.world()
         pm = fit_propensity(f, "t", ("x",))
         e = pm.scores(f)
         x = f.column("x")
         g = f.with_column(Column("x", "numeric", x.values, x.missing))
+        assert not pm.fitted_on(g, "t")
         e2 = pm.scores(g)
         assert e2 is not e and not e2.flags.writeable
         np.testing.assert_array_equal(e2, e)
-        # one entry: the first frame is scored again
-        assert pm.scores(f) is not e
+        # the fitting frame keeps its own scores
+        assert pm.scores(f) is e
 
-    def test_row_count_is_part_of_the_key(self):
+    def test_row_subset_is_scored_afresh(self):
         f = self.world()
         pm = fit_propensity(f, "t", ())
-        e = pm.scores(f)
-        sub = pm.scores(f.subset_rows(np.arange(10)))
-        assert len(e) == f.n_rows and len(sub) == 10
+        sub = f.subset_rows(np.arange(10))
+        assert not pm.fitted_on(sub, "t")
+        assert len(pm.scores(f)) == f.n_rows and len(pm.scores(sub)) == 10
 
-    def test_errors_unchanged_with_a_kept_result(self):
+    def test_missing_column_raises_the_same_error(self):
         f = self.world()
         pm = fit_propensity(f, "t", ("x",))
         pm.scores(f)
+        assert not pm.fitted_on(f.drop("x"), "t")
         with pytest.raises(UnknownColumnError):
             pm.scores(f.drop("x"))
+
+    def test_scores_need_no_treatment_column(self):
+        f = self.world()
+        pm = fit_propensity(f, "t", ("x",))
+        np.testing.assert_array_equal(pm.scores(f.drop("t")), pm.scores(f))
+
+    def test_new_treatment_column_is_matched_again(self, monkeypatch):
+        calls = self.counted_matching(monkeypatch)
+        f = self.world()
+        pm = fit_propensity(f, "t", ("x",))
+        first = psm_att(f, "t", "y", ("x",), pm).value
+        t = f.column("t")
+        h = f.with_column(Column("t", "binary", t.values, t.missing))
+        assert not pm.fitted_on(h, "t")
+        assert pm.scores(h) is not pm.scores(f)
+        assert psm_att(h, "t", "y", ("x",), pm).value == first
+        assert len(calls) == 2
 
 
 class TestRegressionAdjustment:
@@ -158,25 +202,22 @@ class TestRegressionAdjustment:
         )
 
 
-class ConstantPropensity:
-    """Stub propensity model for hand-computable tests."""
+class ConstantPropensity(PropensityModel):
+    """Propensity model with given scores, for hand-computable tests."""
 
     def __init__(self, scores):
-        self._scores = np.asarray(scores, dtype=float)
-        self.adjustment = ()
-        self.clip = 0.05
+        super().__init__(None, ())
+        self._given = np.asarray(scores, dtype=float)
 
     def scores(self, f):
-        return self._scores[: f.n_rows]
+        return self._given[: f.n_rows]
 
 
-class SameScores:
-    """Stub propensity model that hands out the very same array every call."""
-
-    adjustment = ()
-    clip = 0.05
+class SameScores(PropensityModel):
+    """Propensity model that hands out the very same array every call."""
 
     def __init__(self, e):
+        super().__init__(None, ())
         self.e = e
 
     def scores(self, f):
@@ -191,28 +232,7 @@ class TestPsm:
         assert est.value == pytest.approx(10.0 - 2.0)
         assert est.estimand == "ATT"
 
-    def test_matching_reused_only_for_the_same_read_only_arrays(self, monkeypatch):
-        calls = []
-
-        def counted(e, tv):
-            calls.append(1)
-            return _match_controls(e, tv)
-
-        monkeypatch.setattr(estimators, "_match_controls", counted)
-        f = make_frame([1, 0, 0], [10.0, 1.0, 2.0])
-        e = np.array([0.5, 0.4, 0.45])
-        e.setflags(write=False)
-        pm = SameScores(e)
-        assert psm_att(f, "t", "y", (), pm).value == 8.0
-        t = f.column("t")
-        g = f.with_column(Column("y", "numeric", [20.0, 1.0, 4.0], np.zeros(3, dtype=bool)))
-        assert psm_att(g, "t", "y", (), pm).value == 16.0
-        assert len(calls) == 1
-        h = f.with_column(Column("t", "binary", t.values, t.missing))
-        assert psm_att(h, "t", "y", (), pm).value == 8.0
-        assert len(calls) == 2
-
-    def test_writable_scores_are_matched_again(self):
+    def test_scores_of_a_model_not_fitted_here_are_matched_on_every_call(self):
         f = make_frame([1, 0, 0], [10.0, 1.0, 2.0])
         pm = SameScores(np.array([0.5, 0.4, 0.45]))
         assert psm_att(f, "t", "y", (), pm).value == 8.0

@@ -3,7 +3,9 @@
 Every import in the package is relative, numpy, or from the standard
 library, so a new third-party import turns this test red.  Every name in
 ``causet.__all__`` must exist and be listed once, so an export left behind
-by a removed function turns it red too.
+by a removed function turns it red too.  No source holds a ``global`` or
+``nonlocal`` statement, so state kept from one run to the next cannot hide
+in module scope or in a closure.
 """
 
 import ast
@@ -42,3 +44,11 @@ def test_public_names_resolve_once():
     assert len(causet.__all__) == len(set(causet.__all__))
     missing = [name for name in causet.__all__ if not hasattr(causet, name)]
     assert missing == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_global_or_nonlocal_statements(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, (ast.Global, ast.Nonlocal))]
+    assert lines == []

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from causet.errors import SingleClassError
-from causet.estimators import fit_propensity
+from causet.estimators import PropensityModel, fit_propensity
 from causet.frame import Frame, write_csv
 from causet.learners import LearnerSpec
 from causet.metalearners import r_learner, s_learner, t_learner, x_learner
@@ -22,11 +22,10 @@ def make_frame(t, y, **covs):
     return Frame.from_dict(data, kinds)
 
 
-class ConstantPropensity:
+class ConstantPropensity(PropensityModel):
     def __init__(self, p):
+        super().__init__(None, ())
         self.p = p
-        self.adjustment = ()
-        self.clip = 0.05
 
     def scores(self, f):
         return np.full(f.n_rows, self.p)

@@ -7,10 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import fresh_propensity_task
 
 from causet import estimators, metalearners, pipeline
 from causet.errors import NotIdentifiableError, ParseError, SchemaMismatchError
-from causet.frame import write_csv
+from causet.frame import load_csv, write_csv
+from causet.graph import backdoor_sets, parse_graph
+from causet.rng import derive_seed
 from causet.pipeline import (
     QuerySpec,
     compare_report,
@@ -209,6 +212,38 @@ class TestReportsJsonNative:
     def test_validation(self):
         self.check(run_validation(n=500, repetitions=1))
 
+    def test_zero_original_effect_parses_strictly(self, tmp_path):
+        # With no adjustment every score ties, so each treated row matches the
+        # first control: ATT = 1 - 1 = 0 exactly.  Other controls have y = 0,
+        # so a random common cause moves the mean off 0.
+        w = np.array([0.0, 1.0] * 20)
+        y = np.where(w == 1.0, 1.0, 0.0)
+        y[0] = 1.0
+        (tmp_path / "data.csv").write_text(
+            "w,y\n" + "".join(f"{a:g},{b:g}\n" for a, b in zip(w, y)), encoding="utf-8")
+        (tmp_path / "model.graph").write_text("w -> y\n@treatment w\n@outcome y\n",
+                                              encoding="utf-8")
+        (tmp_path / "query.spec").write_text(
+            "name = zero\ndata = data.csv\ngraph = model.graph\ntreatment = w\n"
+            "outcome = y\nestimators = psm\nrefuters = random_common_cause\n"
+            "refuter_repetitions = 5\nseed = 3\n", encoding="utf-8")
+        out = tmp_path / "out"
+        rep = run_query(parse_query_spec(tmp_path / "query.spec"), out_dir=out)
+        row = rep["refutations"][0]
+        assert (row["original_effect"], row["verdict"]) == (0.0, "fail")
+        assert row["mean_refuted"] != 0.0 and row["relative_change"] is None
+
+        def reject(token):
+            raise ValueError(f"not JSON: {token}")
+
+        assert json.loads(report_to_json(rep), parse_constant=reject) == _as_lists(rep)
+        cells = (out / "refutations.csv").read_text(encoding="utf-8").splitlines()[1].split(",")
+        assert cells[4] == ""
+
+    def test_non_finite_number_is_refused(self):
+        with pytest.raises(ValueError):
+            report_to_json({"value": math.inf})
+
 
 @pytest.fixture(scope="module")
 def report(query_dir, tmp_path_factory):
@@ -365,9 +400,9 @@ class TestDispatchTables:
         fits = count_calls(monkeypatch, "fit_propensity")
         run_query(self.spec(query_dir, estimators=("psm",), refuters=(refuter,),
                             refuter_repetitions=reps))
-        # the query's own fit, then one per repetition, or one for all of them
-        # when a repetition replaces only the outcome column
-        assert len(fits) == 1 + (reps if fits_per_rep else 1)
+        # the query's own fit, then one per repetition, or none when a
+        # repetition replaces only the outcome column: it reuses the query's
+        assert len(fits) == 1 + (reps if fits_per_rep else 0)
 
     @pytest.mark.parametrize("reps", [1, 3])
     @pytest.mark.parametrize("refuter, matches_per_rep", [
@@ -381,9 +416,38 @@ class TestDispatchTables:
         matches = count_calls(monkeypatch, "_match_controls", estimators)
         run_query(self.spec(query_dir, estimators=("psm",), refuters=(refuter,),
                             refuter_repetitions=reps))
-        # the query's own matching, then one per repetition, or one for all of
-        # them when a repetition keeps the fit and the treatment column
-        assert len(matches) == 1 + (reps if matches_per_rep else 1)
+        # the query's own matching, then one per repetition, or none when a
+        # repetition keeps the query's treatment and adjustment columns
+        assert len(matches) == 1 + (reps if matches_per_rep else 0)
+
+
+def _hex_row(row: dict) -> dict:
+    """The row with every float as ``float.hex``, so equality is bitwise."""
+    return {k: v.hex() if isinstance(v, float) else v for k, v in row.items()}
+
+
+class TestRefutationReuse:
+    """Reusing the query's propensity fit, scores and matching gives every
+    refutation row the very bits of a task that fits and matches in every run."""
+
+    @pytest.mark.parametrize("seed", [42, 7])
+    @pytest.mark.parametrize("target", ["psm", "ipw", "stratification"])
+    def test_rows_match_a_task_that_keeps_nothing(self, query_dir, target, seed):
+        spec = dataclasses.replace(parse_query_spec(query_dir / "query.spec"),
+                                   estimators=(target,), metalearners=(), seed=seed,
+                                   refuters=pipeline.REFUTER_NAMES, refuter_repetitions=3)
+        rows = run_query(spec)["refutations"]
+        graph = parse_graph(Path(spec.graph).read_text(encoding="utf-8"))
+        z_nodes = backdoor_sets(graph, spec.treatment, spec.outcome)[0]
+        f, z = pipeline._prepare_frame(load_csv(spec.data), spec, z_nodes)
+        task = fresh_propensity_task(target, spec, z)
+        expected = []
+        for index, refuter in enumerate(spec.refuters):
+            rep = pipeline.REFUTERS[refuter](task, f, spec, derive_seed(seed, index), None)
+            row = {**dataclasses.asdict(rep), "target_method": target}
+            del row["refuted_effects"]
+            expected.append(_hex_row(row))
+        assert [_hex_row(row) for row in rows] == expected
 
 
 class TestNuisanceFits:

@@ -423,7 +423,7 @@ def verdict_from_fields(rep):
     elif rep.refuter == "unobserved_confounder":
         return "info"
     else:
-        ok = rep.relative_change < 0.10
+        ok = rep.relative_change is not None and rep.relative_change < 0.10
     return "pass" if ok else "fail"
 
 
@@ -440,7 +440,7 @@ class TestVerdictMatchesReport:
 
     @settings(max_examples=100, deadline=None)
     @given(
-        original=st.one_of(st.just(1.0), st.floats(-10.0, 10.0)),
+        original=st.one_of(st.just(1.0), st.just(0.0), st.floats(-10.0, 10.0)),
         refuted=st.lists(
             st.one_of(
                 st.sampled_from([1.1, 1.0999999999999994, 1.1000000000000008, 0.25, -0.25]),
