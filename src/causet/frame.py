@@ -46,9 +46,9 @@ _BLOCK = 4096
 class Column:
     """One named column: kind, values, and a missing-mask.
 
-    Numeric and binary values are float64 (NaN at missing positions);
-    categorical values are strings.  Binary columns may contain only 0 and 1
-    among their non-missing entries.
+    Numeric and binary values are float64, NaN exactly where missing (a
+    non-finite value is missing); categorical values are strings, "" exactly
+    where missing.  Binary columns hold only 0 and 1 where not missing.
     """
 
     name: str
@@ -62,6 +62,7 @@ class Column:
         missing = np.array(self.missing, dtype=bool, copy=True)
         if self.kind == "categorical":
             values = np.array([str(v) for v in self.values], dtype=object)
+            missing |= values == ""
             values[missing] = ""
         else:
             values = np.array(self.values, dtype=float, copy=True)
@@ -204,11 +205,7 @@ class Frame:
             kind = (kinds or {}).get(name)
             if kind is None:
                 kind = "categorical" if arr.dtype.kind in "OU" else _kind_of(arr.astype(float))
-            if kind == "categorical":
-                missing = np.array([str(v) == "" for v in arr])
-            else:
-                missing = ~np.isfinite(arr.astype(float))
-            cols.append(Column(name, kind, arr, missing))
+            cols.append(Column(name, kind, arr, np.zeros(arr.shape, dtype=bool)))
         return cls(cols)
 
     def __eq__(self, other: object) -> bool:
@@ -402,42 +399,61 @@ def load_csv(path: str | Path, schema: Mapping[str, str] | None = None) -> Frame
         cells = texts.pop(j)
         if kind in ("numeric", "binary"):
             _raise_first_bad_cell(name, kind, cells)
-        missing = np.array([c == "" for c in cells], dtype=bool)
-        columns.append(Column(name, "categorical", np.array(cells, dtype=object), missing))
+        columns.append(Column(name, "categorical", np.array(cells, dtype=object),
+                              np.zeros(len(cells), dtype=bool)))
     return Frame(columns)
 
 
-def _cells(col: Column, rows: slice) -> list[str]:
-    """One column's CSV cells over ``rows``: a numeric value's ``repr``, a
-    binary value as an integer, categorical text as is, "" where missing."""
-    missing = col.missing[rows]
-    values = col.values[rows]
-    if col.kind == "numeric":
-        cells = list(map(repr, values.tolist()))
-    elif col.kind == "binary":
-        cells = list(map(str, np.where(missing, 0.0, values).astype(np.int64).tolist()))
-    else:
-        cells = list(map(str, values.tolist()))
-    for i in np.flatnonzero(missing).tolist():
-        cells[i] = ""
-    return cells
+def _field(v) -> str:
+    """One value as a CSV field, by the rule that :func:`write_csv` states."""
+    if v is None:
+        return ""
+    if isinstance(v, float):
+        return float.__repr__(v)
+    v = str(v)
+    if "," in v or '"' in v or "\r" in v or "\n" in v:
+        return '"' + v.replace('"', '""') + '"'
+    return v
+
+
+def _lines(columns: Sequence) -> str:
+    """The CSV lines of the rows (one or more) that ``columns`` hold."""
+    fields = [map(repr, c.tolist()) if isinstance(c, np.ndarray) and c.dtype.kind in "fiu"
+              else map(_field, c) for c in columns]
+    if len(fields) == 1:  # a lone empty field would read as a blank line
+        fields = [(v or '""' for v in fields[0])]
+    return "\n".join(map(",".join, zip(*fields))) + "\n"
+
+
+def write_rows(path: str | Path, header: Sequence[str], blocks: Iterable[Sequence]) -> None:
+    """Write ``header`` and then the rows of each block, given as equal-length
+    columns, ``_BLOCK`` rows at a time, to a CSV file.  OSError passes through."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(_lines([[name] for name in header]))
+        for columns in blocks:
+            for start in range(0, len(columns[0]), _BLOCK):
+                fh.write(_lines([c[start:start + _BLOCK] for c in columns]))
+
+
+def _values(col: Column, rows: slice) -> np.ndarray:
+    """``col``'s values over ``rows``, binary ones as integers, None where missing."""
+    values, missing = col.values[rows], col.missing[rows]
+    if col.kind == "binary":
+        values = np.where(missing, 0.0, values).astype(np.int64)
+    return np.where(missing, None, values) if missing.any() else values
 
 
 def write_csv(f: Frame, path: str | Path) -> None:
-    """Write a frame to CSV; missing cells become empty fields.
-
-    Floats are written with shortest round-trip formatting so that
-    ``load_csv(write_csv(f))`` reproduces values and missing-masks exactly.
-    Rows go out ``_BLOCK`` at a time, each block formatted column by column,
-    so memory holds one block of cells beside the frame.
-    """
+    """Write a frame to CSV, each value one field: a number its ``repr`` (the
+    shortest round-trip form), a binary value its integer, a missing value
+    empty, text as is but quoted, its quotes doubled, when it holds a comma, a
+    quote, CR or LF; a row of one empty field is ``""``.  So ``load_csv``
+    reads back the values and missing-masks exactly.  Rows go out ``_BLOCK``
+    at a time: memory holds one block beside the frame."""
+    blocks = ([_values(c, slice(start, start + _BLOCK)) for c in f.columns]
+              for start in range(0, f.n_rows, _BLOCK))
     try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(f.names)
-            for start in range(0, f.n_rows, _BLOCK):
-                rows = slice(start, start + _BLOCK)
-                writer.writerows(zip(*(_cells(c, rows) for c in f.columns)))
+        write_rows(path, f.names, blocks)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .estimators import PropensityModel, _treatment_vector
-from .frame import Frame
+from .frame import Frame, write_rows
 from .learners import FittedModel, LearnerSpec, fit_learner
 
 BASES = ("linear", "gbt")  # the regression kinds a meta-learner can use
@@ -50,10 +50,7 @@ class CateModel:
 
     def write_ite_csv(self, path: str | Path) -> None:
         """Dump the in-sample effects as ``row,ite`` lines."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("row,ite\n")
-            for i, v in enumerate(self.ite):
-                fh.write(f"{i},{float(v)!r}\n")
+        write_rows(path, ("row", "ite"), [(np.arange(len(self.ite)), self.ite)])
 
 
 def _s_effect(cate: CateModel, f: Frame, X: np.ndarray) -> np.ndarray:

@@ -22,14 +22,13 @@ reports.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import functools
 import json
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -45,7 +44,8 @@ from .estimators import (
     regression_adjustment,
     stratified_ate,
 )
-from .frame import Frame, LabelRule, derive_binary_label, impute_mean, load_csv, one_hot, split
+from .frame import (Frame, LabelRule, derive_binary_label, impute_mean, load_csv, one_hot, split,
+                    write_rows)
 from .graph import backdoor_sets, parse_graph
 from .learners import LearnerSpec
 from .refutation import (
@@ -230,16 +230,10 @@ def report_to_json(report: Mapping) -> str:
     return json.dumps(dict(report), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _write_table(path: Path, fields: Sequence[str], rows: Iterable[Mapping]) -> None:
-    """Sidecar CSV of ``fields`` from the report's row dicts.
-
-    A None or missing value is an empty cell and a float is its ``repr``
-    (the shortest round-trip form); other keys of a row are left out.
-    """
-    with open(path, "w", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fields, extrasaction="ignore", lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
+def _write_table(path: Path, fields: Sequence[str], rows: Sequence[Mapping]) -> None:
+    """Sidecar CSV of ``fields`` from the report's row dicts; a missing key
+    is an empty field and other keys of a row are left out."""
+    write_rows(path, fields, [[[r.get(k) for r in rows] for k in fields]])
 
 
 def _effect_row(est: EffectEstimate, control_mean: float | None) -> dict:
@@ -472,9 +466,7 @@ def run_validation(
                     (f"uplift_{learner}-{base}",
                      {"fraction": curve.fractions, "cumulative_gain": curve.gains}),
                 ):
-                    cells = zip(*(c.tolist() for c in columns.values()))
-                    _write_table(out / f"{name}.csv", tuple(columns),
-                                 (dict(zip(columns, r)) for r in cells))
+                    write_rows(out / f"{name}.csv", tuple(columns), [tuple(columns.values())])
                     plot_files[name] = f"{name}.csv"
 
     metrics = ("mse_train", "mse_val", "kld_val", "auuc_val", "ate", "ate_error",
@@ -497,8 +489,8 @@ def run_validation(
         _write_table(
             out / "validation_aggregate.csv",
             ("combo", "metric", "mean", "std"),
-            ({"combo": label, "metric": m, **stats}
-             for label, per_metric in aggregate.items() for m, stats in per_metric.items()),
+            [{"combo": label, "metric": m, **stats}
+             for label, per_metric in aggregate.items() for m, stats in per_metric.items()],
         )
         plot_files["aggregate"] = "validation_aggregate.csv"
 

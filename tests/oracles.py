@@ -311,6 +311,24 @@ def write_csv_rowwise(f: Frame, path) -> None:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
+def write_ite_csv_rowwise(ite, path) -> None:
+    """``CateModel.write_ite_csv``'s former body, verbatim, with ``self.ite``
+    passed in: one f-string per row."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("row,ite\n")
+        for i, v in enumerate(ite):
+            fh.write(f"{i},{float(v)!r}\n")
+
+
+def write_table_dictwriter(path, fields, rows) -> None:
+    """``pipeline._write_table``'s former body, verbatim: ``csv.DictWriter``
+    over the row dicts."""
+    with open(path, "w", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fields, extrasaction="ignore", lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+
+
 # -- numerics -------------------------------------------------------------------
 
 

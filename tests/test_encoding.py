@@ -42,8 +42,9 @@ def calls_in(path):
 
 
 def test_calls_found():
+    # writes: the one CSV writer (frame.write_rows) and cli's two write_text calls
     kinds = [kind for path in SOURCES for _, kind, _ in calls_in(path)]
-    assert kinds.count("read") >= 4 and kinds.count("write") >= 4
+    assert kinds.count("read") >= 4 and kinds.count("write") >= 3
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

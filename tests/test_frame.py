@@ -30,9 +30,18 @@ from causet.frame import (
     split,
     write_csv,
 )
+from causet import pipeline
+from causet.learners import LearnerSpec
+from causet.metalearners import CateModel
 from causet.rng import make_rng
 
-from oracles import load_csv_blocks, load_csv_two_pass, write_csv_rowwise
+from oracles import (
+    load_csv_blocks,
+    load_csv_two_pass,
+    write_csv_rowwise,
+    write_ite_csv_rowwise,
+    write_table_dictwriter,
+)
 
 
 def frame_of(text, path, schema=None):
@@ -385,20 +394,98 @@ def frames(draw):
     ])
 
 
+def holds_cr(f: Frame) -> bool:
+    text = [*f.names, *(v for c in f.columns if c.kind == "categorical" for v in c.values)]
+    return any("\r" in v for v in text)
+
+
 class TestWriterBytes:
-    """The block writer against the former row-at-a-time one."""
+    """The block writer against the former row-at-a-time one, which left a
+    bare CR unquoted, and so wrote a file that reads back ragged."""
 
     @settings(max_examples=200, deadline=None)
     @given(f=frames())
     def test_same_bytes_at_every_block_size(self, tmp_path_factory, f):
         d = tmp_path_factory.mktemp("writer")
-        write_csv_rowwise(f, d / "rowwise.csv")
-        expected = (d / "rowwise.csv").read_bytes()
-        for block in (1, 3, frame._BLOCK):
+        write_csv(f, d / "blocks.csv")
+        expected = (d / "blocks.csv").read_bytes()
+        if not holds_cr(f):
+            write_csv_rowwise(f, d / "rowwise.csv")
+            assert (d / "rowwise.csv").read_bytes() == expected
+        for block in (1, 3):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(frame, "_BLOCK", block)
                 write_csv(f, d / "blocks.csv")
             assert (d / "blocks.csv").read_bytes() == expected
+
+    def test_a_bare_cr_is_quoted(self, tmp_path):
+        f = Frame([Column("c\rd", "categorical", np.array(["a\rb", "z"], dtype=object),
+                          np.zeros(2, dtype=bool)),
+                   Column("x", "numeric", np.array([1.0, 2.0]), np.zeros(2, dtype=bool))])
+        write_csv(f, tmp_path / "d.csv")
+        assert (tmp_path / "d.csv").read_bytes() == b'"c\rd",x\n"a\rb",1.0\nz,2.0\n'
+        assert load_csv(tmp_path / "d.csv", {"c\rd": "categorical"}) == f
+
+    def test_a_lone_empty_field_is_quoted(self, tmp_path):
+        f = Frame([Column("", "categorical", np.array(["", "x"], dtype=object),
+                          np.zeros(2, dtype=bool))])
+        write_csv(f, tmp_path / "d.csv")
+        assert (tmp_path / "d.csv").read_bytes() == b'""\n""\nx\n'
+        assert load_csv(tmp_path / "d.csv", {"": "categorical"}) == f
+
+    @settings(max_examples=400, deadline=None)
+    @given(f=frames(), name=TEXT)
+    def test_load_reads_back_what_write_wrote(self, tmp_path_factory, f, name):
+        text = f.column("te,xt")
+        f = f.drop("te,xt").with_column(Column(name, "categorical", text.values, text.missing))
+        path = tmp_path_factory.mktemp("roundtrip") / "f.csv"
+        write_csv(f, path)
+        assert load_csv(path, {"num": "numeric", "bin": "binary", name: "categorical"}) == f
+
+
+# Text without a CR, which the former writers left unquoted.
+PLAIN = st.text(alphabet='ab ,"\n', max_size=4)
+VALUES = st.one_of(st.none(), st.floats(), st.floats().map(np.float64),
+                   st.integers(-10**20, 10**20), st.booleans(), PLAIN)
+
+
+class TestOneWriter:
+    """``write_rows`` against the former ITE and sidecar-table writers."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(ite=st.lists(st.floats(), max_size=9))
+    def test_ite_file(self, tmp_path_factory, ite):
+        d = tmp_path_factory.mktemp("ite")
+        write_ite_csv_rowwise(ite, d / "rowwise.csv")
+        cate = CateModel("S", LearnerSpec("linear"), np.array(ite, dtype=float), 0.0, (), "w")
+        for block in (1, 3, frame._BLOCK):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(frame, "_BLOCK", block)
+                cate.write_ite_csv(d / "ite.csv")
+            assert (d / "ite.csv").read_bytes() == (d / "rowwise.csv").read_bytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_table_of_row_dicts(self, tmp_path_factory, data):
+        fields = data.draw(st.lists(PLAIN, min_size=1, max_size=4, unique=True))
+        keys = st.sampled_from([*fields, "extra"])
+        rows = data.draw(st.lists(st.dictionaries(keys, VALUES), max_size=5))
+        d = tmp_path_factory.mktemp("table")
+        write_table_dictwriter(d / "dictwriter.csv", fields, rows)
+        pipeline._write_table(d / "table.csv", fields, rows)
+        assert (d / "table.csv").read_bytes() == (d / "dictwriter.csv").read_bytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(columns=st.integers(0, 9).flatmap(lambda n: st.lists(
+        st.lists(st.floats(), min_size=n, max_size=n), min_size=1, max_size=3)))
+    def test_table_of_float_columns(self, tmp_path_factory, columns):
+        # the validation plot tables, once turned into row dicts for DictWriter
+        fields = [f"c{j}" for j in range(len(columns))]
+        d = tmp_path_factory.mktemp("plot")
+        write_table_dictwriter(d / "dictwriter.csv", fields,
+                               (dict(zip(fields, r)) for r in zip(*columns)))
+        frame.write_rows(d / "table.csv", fields, [[np.array(c, dtype=float) for c in columns]])
+        assert (d / "table.csv").read_bytes() == (d / "dictwriter.csv").read_bytes()
 
 
 class TestLoaderMemory:
@@ -599,6 +686,13 @@ class TestFrameInvariants:
         with pytest.raises(TypeConflictError):
             Frame([Column("x", "numeric", np.array([1.0]), np.array([False])),
                    Column("x", "numeric", np.array([2.0]), np.array([False]))])
+
+    def test_empty_text_is_missing(self):
+        # CSV writes both as an empty field, so only one can read back
+        c = Column("c", "categorical", np.array(["", "a"], dtype=object),
+                   np.array([False, False]))
+        assert c.missing.tolist() == [True, False]
+        assert Frame([c]) == Frame.from_dict({"c": np.array(["", "a"], dtype=object)})
 
     def test_binary_values_checked(self):
         with pytest.raises(TypeConflictError):

@@ -5,7 +5,9 @@ library, so a new third-party import turns this test red.  Every name in
 ``causet.__all__`` must exist and be listed once, so an export left behind
 by a removed function turns it red too.  No source holds a ``global`` or
 ``nonlocal`` statement, so state kept from one run to the next cannot hide
-in module scope or in a closure.
+in module scope or in a closure.  Only ``frame.py`` imports ``csv``, and
+no source calls ``csv.writer`` or ``DictWriter``, so one module knows the
+CSV format and every file causet writes goes through its one writer.
 """
 
 import ast
@@ -52,3 +54,13 @@ def test_no_global_or_nonlocal_statements(path):
     lines = [node.lineno for node in ast.walk(tree)
              if isinstance(node, (ast.Global, ast.Nonlocal))]
     assert lines == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_frame_knows_the_csv_format(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    if path.name != "frame.py":
+        assert "csv" not in set(imported_modules(tree))
+    names = {node.attr if isinstance(node, ast.Attribute) else node.id
+             for node in ast.walk(tree) if isinstance(node, (ast.Attribute, ast.Name))}
+    assert names & {"writer", "DictWriter"} == set()
