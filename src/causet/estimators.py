@@ -171,9 +171,7 @@ def _match_controls(e: np.ndarray, tv: np.ndarray) -> np.ndarray:
     return matched
 
 
-def psm_att(
-    f: Frame, t: str, y: str, z: Sequence[str], pm: PropensityModel
-) -> EffectEstimate:
+def psm_att(f: Frame, t: str, y: str, pm: PropensityModel) -> EffectEstimate:
     """ATT by 1-nearest-neighbor propensity matching with replacement.
 
     Each treated unit is matched to the control whose clipped score gives the

@@ -55,7 +55,7 @@ def kl_divergence(p_sample, q_sample, bins: int = KL_BINS) -> float:
     return float(np.sum(pd * np.log(pd / qd)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UpliftCurve:
     """Cumulative gain curve over the population ranked by predicted effect.
 

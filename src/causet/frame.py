@@ -2,8 +2,8 @@
 
 A :class:`Frame` is an immutable ordered collection of equal-length columns.
 Each column has a kind (``numeric``, ``binary``, ``categorical``) and a
-missing-mask.  Every operation returns a new frame; inputs are never
-mutated (the backing arrays are marked read-only).
+missing-mask derived from its values.  Every operation returns a new frame;
+inputs are never mutated (the backing arrays are marked read-only).
 
 CSV convention: RFC-4180-style, UTF-8 (a leading byte-order mark is
 skipped), mandatory header row, empty field means missing, ``.`` is the
@@ -16,7 +16,7 @@ import csv
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -44,29 +44,28 @@ _BLOCK = 4096
 
 @dataclass(frozen=True)
 class Column:
-    """One named column: kind, values, and a missing-mask.
+    """One named column: kind, values, and a missing-mask derived from them.
 
     Numeric and binary values are float64, NaN exactly where missing (a
     non-finite value is missing); categorical values are strings, "" exactly
-    where missing.  Binary columns hold only 0 and 1 where not missing.
+    where missing.  Binary columns hold only 0 and 1 where not missing.  Two
+    columns are equal when name, kind and values are, NaN equal to NaN.
     """
 
     name: str
     kind: str
     values: np.ndarray
-    missing: np.ndarray
+    missing: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise KindError(f"unknown column kind {self.kind!r}")
-        missing = np.array(self.missing, dtype=bool, copy=True)
         if self.kind == "categorical":
             values = np.array([str(v) for v in self.values], dtype=object)
-            missing |= values == ""
-            values[missing] = ""
+            missing = values == ""
         else:
             values = np.array(self.values, dtype=float, copy=True)
-            missing = missing | ~np.isfinite(values)
+            missing = ~np.isfinite(values)
             values[missing] = np.nan
             if self.kind == "binary":
                 ok = values[~missing]
@@ -74,12 +73,18 @@ class Column:
                     raise TypeConflictError(
                         f"binary column {self.name!r} contains values outside {{0, 1}}"
                     )
-        if values.shape != missing.shape or values.ndim != 1:
-            raise RaggedRowError(f"column {self.name!r}: values/mask length mismatch")
+        if values.ndim != 1:
+            raise RaggedRowError(f"column {self.name!r}: values are not one-dimensional")
         values.setflags(write=False)
         missing.setflags(write=False)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "missing", missing)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Column):
+            return NotImplemented
+        return (self.name, self.kind) == (other.name, other.kind) and np.array_equal(
+            self.values, other.values, equal_nan=self.kind != "categorical")
 
     def __len__(self) -> int:
         return len(self.values)
@@ -168,9 +173,7 @@ class Frame:
 
     def subset_rows(self, indices: np.ndarray) -> "Frame":
         idx = np.asarray(indices)
-        return Frame(
-            [Column(c.name, c.kind, c.values[idx], c.missing[idx]) for c in self._columns]
-        )
+        return Frame([Column(c.name, c.kind, c.values[idx]) for c in self._columns])
 
     def numeric_matrix(self, names: Sequence[str]) -> np.ndarray:
         """Float matrix of the given columns; rejects categorical or missing data."""
@@ -205,25 +208,13 @@ class Frame:
             kind = (kinds or {}).get(name)
             if kind is None:
                 kind = "categorical" if arr.dtype.kind in "OU" else _kind_of(arr.astype(float))
-            cols.append(Column(name, kind, arr, np.zeros(arr.shape, dtype=bool)))
+            cols.append(Column(name, kind, arr))
         return cls(cols)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Frame):
             return NotImplemented
-        if self.names != other.names:
-            return False
-        for a, b in zip(self._columns, other._columns):
-            if a.kind != b.kind or not np.array_equal(a.missing, b.missing):
-                return False
-            if a.kind == "categorical":
-                if not np.array_equal(a.values, b.values):
-                    return False
-            else:
-                ok = ~a.missing
-                if not np.array_equal(a.values[ok], b.values[ok]):
-                    return False
-        return True
+        return self._columns == other._columns
 
     def __repr__(self) -> str:
         return f"Frame({self.n_rows} rows x {len(self._columns)} columns)"
@@ -394,13 +385,12 @@ def load_csv(path: str | Path, schema: Mapping[str, str] | None = None) -> Frame
     for j, (name, kind, v) in enumerate(zip(header, kinds, values)):
         if v is not None:
             kind = kind or _kind_of(v)
-            columns.append(Column(name, kind, v, ~np.isfinite(v)))
+            columns.append(Column(name, kind, v))
             continue
         cells = texts.pop(j)
         if kind in ("numeric", "binary"):
             _raise_first_bad_cell(name, kind, cells)
-        columns.append(Column(name, "categorical", np.array(cells, dtype=object),
-                              np.zeros(len(cells), dtype=bool)))
+        columns.append(Column(name, "categorical", np.array(cells, dtype=object)))
     return Frame(columns)
 
 
@@ -466,28 +456,24 @@ def one_hot(f: Frame, col: str) -> Frame:
 
     Levels are sorted lexicographically and named ``col=<level>``.  Missing
     source values get their own trailing level ``col=__missing__`` so every
-    row has exactly one 1 among the generated columns.
+    row has exactly one 1 among the generated columns.  A generated name that
+    is already taken, by another column or by a level named ``__missing__``
+    beside missing cells, raises :class:`TypeConflictError`.
     """
     c = f.column(col)
     if c.kind != "categorical":
         raise KindError(f"column {col!r} is {c.kind}, expected categorical")
     position = f.names.index(col)
-    levels = sorted({str(v) for v, m in zip(c.values, c.missing) if not m})
+    levels = sorted(set(c.values) - {""})
     if c.missing.any():
-        levels.append(MISSING_LEVEL)
+        levels.append("")
     out = f.drop(col)
     for offset, level in enumerate(levels):
-        name = f"{col}={level}"
-        if name in f.names:
+        name = f"{col}={level or MISSING_LEVEL}"
+        if name in out.names:
             raise TypeConflictError(f"generated column {name!r} already exists")
-        if level == MISSING_LEVEL:
-            vals = c.missing.astype(float)
-        else:
-            vals = ((c.values == level) & ~c.missing).astype(float)
-        out = out.with_column(
-            Column(name, "binary", vals, np.zeros(len(c), dtype=bool)),
-            position=position + offset,
-        )
+        out = out.with_column(Column(name, "binary", c.values == level),
+                              position=position + offset)
     return out
 
 
@@ -513,7 +499,7 @@ def impute_mean(f: Frame, col: str) -> Frame:
     kind = c.kind
     if kind == "binary" and fill not in (0.0, 1.0):
         kind = "numeric"
-    return f.with_column(Column(col, kind, values, np.zeros(len(c), dtype=bool)))
+    return f.with_column(Column(col, kind, values))
 
 
 def derive_binary_label(f: Frame, rule: LabelRule) -> Frame:
@@ -527,9 +513,7 @@ def derive_binary_label(f: Frame, rule: LabelRule) -> Frame:
         )
     mean = float(c.values.mean()) if len(c) else 0.0
     labels = (c.values > mean).astype(float)
-    return f.with_column(
-        Column(rule.target, "binary", labels, np.zeros(len(c), dtype=bool))
-    )
+    return f.with_column(Column(rule.target, "binary", labels))
 
 
 def split(f: Frame, train_fraction: float, seed: int) -> tuple[Frame, Frame]:

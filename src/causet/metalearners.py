@@ -22,7 +22,7 @@ from .learners import FittedModel, LearnerSpec, fit_learner
 BASES = ("linear", "gbt")  # the regression kinds a meta-learner can use
 
 
-@dataclass
+@dataclass(eq=False)
 class CateModel:
     """Per-unit effect predictions from one meta-learner.
 

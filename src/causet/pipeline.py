@@ -70,7 +70,7 @@ REPORT_VERSION = 1
 ESTIMATORS = {
     "regression_adjustment":
         lambda f, spec, z, pm: regression_adjustment(f, spec.treatment, spec.outcome, z),
-    "psm": lambda f, spec, z, pm: psm_att(f, spec.treatment, spec.outcome, z, pm()),
+    "psm": lambda f, spec, z, pm: psm_att(f, spec.treatment, spec.outcome, pm()),
     "ipw": lambda f, spec, z, pm: ipw_ate(f, spec.treatment, spec.outcome, pm()),
     "stratification":
         lambda f, spec, z, pm: stratified_ate(f, spec.treatment, spec.outcome, pm(), k=spec.strata),

@@ -163,7 +163,7 @@ def refute_random_common_cause(
     name = _fresh_name(f, "random_cause")
 
     def perturb(rng):
-        col = Column(name, "numeric", rng.standard_normal(n), np.zeros(n, dtype=bool))
+        col = Column(name, "numeric", rng.standard_normal(n))
         return f.with_column(col), (*task.adjustment, name)
 
     return _refute("random_common_cause", task, f, repetitions, seed, perturb, _stable_judge,
@@ -187,8 +187,7 @@ def refute_placebo(
 
     def perturb(rng):
         placebo = (rng.uniform(size=n) < prevalence).astype(float)
-        col = Column(task.treatment, "binary", placebo, np.zeros(n, dtype=bool))
-        return (f.with_column(col),)
+        return (f.with_column(Column(task.treatment, "binary", placebo)),)
 
     def judge(original, refuted, mean):
         ok = abs(mean) < PLACEBO_RATIO * abs(original)
@@ -276,15 +275,14 @@ def refute_unobserved_confounder(
         if not 0.0 <= s < 1.0:
             raise ValueError("strengths must lie in [0, 1)")
     tv = f.binary_vector(task.treatment)
-    yc = f.column(task.outcome)
+    yv = f.values(task.outcome)
     base_p = min(max(float(tv.mean()), 0.05), 0.95)
 
     def perturb(rng):
         if strength_y == 0.0:
             return (f,)
         u = _simulate_confounder(rng, tv, strength_t, base_p)
-        y = yc.values + strength_y * u
-        return (f.with_column(Column(task.outcome, "numeric", y, yc.missing)),)
+        return (f.with_column(Column(task.outcome, "numeric", yv + strength_y * u)),)
 
     def judge(original, refuted, mean):
         return "info", (

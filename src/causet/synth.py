@@ -27,7 +27,7 @@ from .frame import Frame
 from .rng import make_rng
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SyntheticSet:
     """One generated dataset plus its ground truth."""
 

@@ -148,14 +148,11 @@ def _infer_kind(cells: list[str]) -> str:
 
 def _parse_cells(name: str, kind: str, cells: list[str]) -> Column:
     if kind == "categorical":
-        missing = np.array([c == "" for c in cells])
-        return Column(name, "categorical", np.array(cells, dtype=object), missing)
+        return Column(name, "categorical", np.array(cells, dtype=object))
     values = np.empty(len(cells))
-    missing = np.zeros(len(cells), dtype=bool)
     for i, c in enumerate(cells):
         if c == "":
             values[i] = np.nan
-            missing[i] = True
             continue
         try:
             v = float(c)
@@ -165,14 +162,13 @@ def _parse_cells(name: str, kind: str, cells: list[str]) -> Column:
             ) from None
         if not math.isfinite(v):
             values[i] = np.nan
-            missing[i] = True
             continue
         if kind == "binary" and v not in (0.0, 1.0):
             raise TypeConflictError(
                 f"column {name!r} declared binary but cell {c!r} is not 0/1"
             )
         values[i] = v
-    return Column(name, kind, values, missing)
+    return Column(name, kind, values)
 
 
 def load_csv_two_pass(path, schema=None) -> Frame:
@@ -275,13 +271,12 @@ def load_csv_blocks(path, schema=None) -> Frame:
     for j, (name, kind, v) in enumerate(zip(header, kinds, values)):
         if v is not None:
             kind = kind or _kind_of(v)
-            columns.append(Column(name, kind, v, ~np.isfinite(v)))
+            columns.append(Column(name, kind, v))
             continue
         cells = texts.pop(j)
         if kind in ("numeric", "binary"):
             _raise_first_bad_cell(name, kind, cells)
-        missing = np.array([c == "" for c in cells], dtype=bool)
-        columns.append(Column(name, "categorical", np.array(cells, dtype=object), missing))
+        columns.append(Column(name, "categorical", np.array(cells, dtype=object)))
     return Frame(columns)
 
 
@@ -562,7 +557,7 @@ def fresh_propensity_task(method: str, spec, z: tuple[str, ...]) -> EstimationTa
         fit = fit_propensity(frame, t, adjustment, clip=spec.propensity_clip)
         pm = PropensityModel(fit.model, fit.adjustment, fit.clip)
         if method == "psm":
-            return psm_att(frame, t, y, adjustment, pm).value
+            return psm_att(frame, t, y, pm).value
         if method == "ipw":
             return ipw_ate(frame, t, y, pm).value
         return stratified_ate(frame, t, y, pm, k=spec.strata).value

@@ -98,12 +98,12 @@ class TestFittedOn:
         e = pm.scores(f)
         assert not e.flags.writeable
         y = f.column("y")
-        g = f.with_column(Column("y", "numeric", y.values + f.values("t"), y.missing))
+        g = f.with_column(Column("y", "numeric", y.values + f.values("t")))
         assert pm.fitted_on(g, "t")
         assert pm.scores(g) is e
         assert pm.match(g, "t") is pm.match(f, "t")
-        assert psm_att(g, "t", "y", ("x",), pm).value == pytest.approx(
-            psm_att(f, "t", "y", ("x",), pm).value + 1.0)
+        assert psm_att(g, "t", "y", pm).value == pytest.approx(
+            psm_att(f, "t", "y", pm).value + 1.0)
         assert len(calls) == 1
 
     def test_kept_scores_are_the_scores_of_the_frame(self):
@@ -118,7 +118,7 @@ class TestFittedOn:
         pm = fit_propensity(f, "t", ("x",))
         e = pm.scores(f)
         x = f.column("x")
-        g = f.with_column(Column("x", "numeric", x.values, x.missing))
+        g = f.with_column(Column("x", "numeric", x.values))
         assert not pm.fitted_on(g, "t")
         e2 = pm.scores(g)
         assert e2 is not e and not e2.flags.writeable
@@ -150,12 +150,12 @@ class TestFittedOn:
         calls = self.counted_matching(monkeypatch)
         f = self.world()
         pm = fit_propensity(f, "t", ("x",))
-        first = psm_att(f, "t", "y", ("x",), pm).value
+        first = psm_att(f, "t", "y", pm).value
         t = f.column("t")
-        h = f.with_column(Column("t", "binary", t.values, t.missing))
+        h = f.with_column(Column("t", "binary", t.values))
         assert not pm.fitted_on(h, "t")
         assert pm.scores(h) is not pm.scores(f)
-        assert psm_att(h, "t", "y", ("x",), pm).value == first
+        assert psm_att(h, "t", "y", pm).value == first
         assert len(calls) == 2
 
 
@@ -228,21 +228,21 @@ class TestPsm:
     def test_nearest_neighbor(self):
         f = make_frame([1, 0, 0], [10.0, 1.0, 2.0])
         pm = ConstantPropensity([0.5, 0.4, 0.45])
-        est = psm_att(f, "t", "y", (), pm)
+        est = psm_att(f, "t", "y", pm)
         assert est.value == pytest.approx(10.0 - 2.0)
         assert est.estimand == "ATT"
 
     def test_scores_of_a_model_not_fitted_here_are_matched_on_every_call(self):
         f = make_frame([1, 0, 0], [10.0, 1.0, 2.0])
         pm = SameScores(np.array([0.5, 0.4, 0.45]))
-        assert psm_att(f, "t", "y", (), pm).value == 8.0
+        assert psm_att(f, "t", "y", pm).value == 8.0
         pm.e[1] = 0.49
-        assert psm_att(f, "t", "y", (), pm).value == 9.0
+        assert psm_att(f, "t", "y", pm).value == 9.0
 
     def test_tie_break_lowest_row_index(self):
         f = make_frame([1, 0, 0], [10.0, 1.0, 2.0])
         pm = ConstantPropensity([0.5, 0.45, 0.55])
-        est = psm_att(f, "t", "y", (), pm)
+        est = psm_att(f, "t", "y", pm)
         assert est.value == pytest.approx(10.0 - 1.0)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -257,7 +257,7 @@ class TestPsm:
             t[:] = 1.0
             t[rng.integers(n)] = 0.0
         e = np.round(rng.uniform(0.05, 0.95, size=n), 2)
-        est = psm_att(make_frame(t, rng.standard_normal(n)), "t", "y", (), ConstantPropensity(e))
+        est = psm_att(make_frame(t, rng.standard_normal(n)), "t", "y", ConstantPropensity(e))
         assert est.n_control == len(np.unique(_match_controls(e, t)))
         if single_control:
             assert est.n_control == 1
@@ -272,7 +272,7 @@ class TestPsm:
         y = x * 2 + tau * t + rng.standard_normal(n) * 0.5
         f = make_frame(t, y, x=x)
         pm = fit_propensity(f, "t", ("x",))
-        est = psm_att(f, "t", "y", ("x",), pm)
+        est = psm_att(f, "t", "y", pm)
         se = 2 * 0.5 / np.sqrt(t.sum())
         assert est.value == pytest.approx(tau, abs=max(2 * se, 0.08))
 
@@ -409,7 +409,7 @@ class TestPsmMatching:
         assert 0.08 < np.mean((e == 0.05) | (e == 0.95)) < 0.12
         f = make_frame(t, rng.standard_normal(n))
         start = time.perf_counter()
-        est = psm_att(f, "t", "y", (), ConstantPropensity(e))
+        est = psm_att(f, "t", "y", ConstantPropensity(e))
         assert time.perf_counter() - start < 10.0
         assert est.n_treated == int(t.sum())
 
@@ -503,7 +503,7 @@ class TestSharedInvariants:
         pm = fit_propensity(f, "t", ("x",))
         return [
             regression_adjustment(f, "t", "y", ("x",)).value,
-            psm_att(f, "t", "y", ("x",), pm).value,
+            psm_att(f, "t", "y", pm).value,
             ipw_ate(f, "t", "y", pm).value,
             stratified_ate(f, "t", "y", pm).value,
         ]

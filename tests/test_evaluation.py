@@ -100,6 +100,11 @@ class TestUpliftCurveTrue:
         curve = uplift_curve_true(pred, tau)
         assert curve.gains.tolist() == [1.0, 1.5, 2.0, 2.4]
 
+    def test_equality_is_identity(self):
+        tau = np.array([1.0, 0.5])
+        a, b = uplift_curve_true(tau, tau), uplift_curve_true(tau, tau)
+        assert a == a and a != b and a not in [b]
+
 
 class TestPredictionScatter:
     def test_perfect_model(self):

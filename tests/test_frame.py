@@ -116,12 +116,13 @@ class TestLoadCsv:
         cats = np.array(
             ["".join(rng.choice(list("abXY_z"), size=3)) for _ in range(n)], dtype=object
         )
+        b = (rng.uniform(size=n) < 0.5).astype(float)
+        b_miss = rng.uniform(size=n) < 0.2
         f = Frame(
             [
-                Column("v", "numeric", vals, miss),
-                Column("b", "binary", (rng.uniform(size=n) < 0.5).astype(float),
-                       rng.uniform(size=n) < 0.2),
-                Column("c", "categorical", cats, rng.uniform(size=n) < 0.2),
+                Column("v", "numeric", np.where(miss, np.nan, vals)),
+                Column("b", "binary", np.where(b_miss, np.nan, b)),
+                Column("c", "categorical", np.where(rng.uniform(size=n) < 0.2, "", cats)),
             ]
         )
         path = tmp_path_factory.mktemp("rt") / "f.csv"
@@ -265,10 +266,9 @@ class TestLoaderCReader:
         rng = make_rng(3)
         n = 3 * frame._BLOCK + 5
         f = Frame([
-            Column("x", "numeric", rng.standard_normal(n) * 1e5, np.zeros(n, dtype=bool)),
-            Column("t", "binary", (rng.uniform(size=n) < 0.5).astype(float),
-                   np.zeros(n, dtype=bool)),
-            Column("z", "numeric", rng.standard_normal(n) * 1e-9, np.zeros(n, dtype=bool)),
+            Column("x", "numeric", rng.standard_normal(n) * 1e5),
+            Column("t", "binary", (rng.uniform(size=n) < 0.5).astype(float)),
+            Column("z", "numeric", rng.standard_normal(n) * 1e-9),
         ])
         write_csv(f, tmp_path / "d.csv")
         expected = load_csv_blocks(tmp_path / "d.csv")
@@ -386,11 +386,14 @@ def frames(draw):
     def cells(elements):
         return draw(st.lists(elements, min_size=n, max_size=n))
 
+    def masked(values, missing):
+        return np.where(cells(st.booleans()), missing, values)
+
     return Frame([
-        Column("num", "numeric", np.array(cells(NUMBERS), dtype=float), cells(st.booleans())),
-        Column("bin", "binary", np.array(cells(st.sampled_from([0.0, 1.0, -0.0])), dtype=float),
-               cells(st.booleans())),
-        Column("te,xt", "categorical", np.array(cells(TEXT), dtype=object), cells(st.booleans())),
+        Column("num", "numeric", masked(np.array(cells(NUMBERS), dtype=float), np.nan)),
+        Column("bin", "binary",
+               masked(np.array(cells(st.sampled_from([0.0, 1.0, -0.0])), dtype=float), np.nan)),
+        Column("te,xt", "categorical", masked(np.array(cells(TEXT), dtype=object), "")),
     ])
 
 
@@ -419,16 +422,14 @@ class TestWriterBytes:
             assert (d / "blocks.csv").read_bytes() == expected
 
     def test_a_bare_cr_is_quoted(self, tmp_path):
-        f = Frame([Column("c\rd", "categorical", np.array(["a\rb", "z"], dtype=object),
-                          np.zeros(2, dtype=bool)),
-                   Column("x", "numeric", np.array([1.0, 2.0]), np.zeros(2, dtype=bool))])
+        f = Frame([Column("c\rd", "categorical", np.array(["a\rb", "z"], dtype=object)),
+                   Column("x", "numeric", np.array([1.0, 2.0]))])
         write_csv(f, tmp_path / "d.csv")
         assert (tmp_path / "d.csv").read_bytes() == b'"c\rd",x\n"a\rb",1.0\nz,2.0\n'
         assert load_csv(tmp_path / "d.csv", {"c\rd": "categorical"}) == f
 
     def test_a_lone_empty_field_is_quoted(self, tmp_path):
-        f = Frame([Column("", "categorical", np.array(["", "x"], dtype=object),
-                          np.zeros(2, dtype=bool))])
+        f = Frame([Column("", "categorical", np.array(["", "x"], dtype=object))])
         write_csv(f, tmp_path / "d.csv")
         assert (tmp_path / "d.csv").read_bytes() == b'""\n""\nx\n'
         assert load_csv(tmp_path / "d.csv", {"": "categorical"}) == f
@@ -437,7 +438,7 @@ class TestWriterBytes:
     @given(f=frames(), name=TEXT)
     def test_load_reads_back_what_write_wrote(self, tmp_path_factory, f, name):
         text = f.column("te,xt")
-        f = f.drop("te,xt").with_column(Column(name, "categorical", text.values, text.missing))
+        f = f.drop("te,xt").with_column(Column(name, "categorical", text.values))
         path = tmp_path_factory.mktemp("roundtrip") / "f.csv"
         write_csv(f, path)
         assert load_csv(path, {"num": "numeric", "bin": "binary", name: "categorical"}) == f
@@ -494,8 +495,7 @@ class TestLoaderMemory:
         # one block of cells plus the parsed columns stays near 2.4x.
         n, k = 50_000, 10
         rng = make_rng(5)
-        f = Frame([Column(f"x{j}", "numeric", rng.standard_normal(n), np.zeros(n, dtype=bool))
-                   for j in range(k)])
+        f = Frame([Column(f"x{j}", "numeric", rng.standard_normal(n)) for j in range(k)])
         write_csv(f, tmp_path / "d.csv")
         size = sum(c.values.nbytes + c.missing.nbytes for c in f.columns)
         tracemalloc.start()
@@ -524,12 +524,22 @@ class TestOneHot:
 
     def test_missing_becomes_own_level(self):
         f = Frame(
-            [Column("c", "categorical", np.array(["a", "", "b"], dtype=object),
-                    np.array([False, True, False]))]
+            [Column("c", "categorical", np.array(["a", "", "b"], dtype=object))]
         )
         g = one_hot(f, "c")
         assert g.names == ("c=a", "c=b", "c=__missing__")
         assert g.values("c=__missing__").tolist() == [0.0, 1.0, 0.0]
+
+    def test_level_named_like_missing_cells_raises_beside_them(self):
+        f = Frame.from_dict({"c": np.array(["__missing__", "a", ""], dtype=object)})
+        with pytest.raises(TypeConflictError, match="c=__missing__"):
+            one_hot(f, "c")
+
+    def test_level_named_like_missing_cells_is_a_level_alone(self):
+        f = Frame.from_dict({"c": np.array(["__missing__", "a"], dtype=object)})
+        g = one_hot(f, "c")
+        assert g.names == ("c=__missing__", "c=a")
+        assert g.values("c=__missing__").tolist() == [1.0, 0.0]
 
     def test_position_preserved(self):
         f = Frame.from_dict(
@@ -552,7 +562,7 @@ class TestOneHot:
             n = int(rng.integers(1, 30))
             cats = np.array([rng.choice(["u", "v", "w"]) for _ in range(n)], dtype=object)
             miss = rng.uniform(size=n) < 0.25
-            f = Frame([Column("c", "categorical", cats, miss)])
+            f = Frame([Column("c", "categorical", np.where(miss, "", cats))])
             g = one_hot(f, "c")
             total = np.zeros(n)
             for name in g.names:
@@ -562,8 +572,7 @@ class TestOneHot:
 
 class TestImputeMean:
     def test_simple(self):
-        f = Frame([Column("x", "numeric", np.array([1.0, np.nan, 3.0]),
-                          np.array([False, True, False]))])
+        f = Frame([Column("x", "numeric", np.array([1.0, np.nan, 3.0]))])
         g = impute_mean(f, "x")
         assert g.values("x").tolist() == [1.0, 2.0, 3.0]
         assert not g.missing("x").any()
@@ -573,15 +582,13 @@ class TestImputeMean:
         assert impute_mean(f, "x") == f
 
     def test_all_missing_warns_and_zeros(self):
-        f = Frame([Column("x", "numeric", np.array([np.nan, np.nan]),
-                          np.array([True, True]))])
+        f = Frame([Column("x", "numeric", np.array([np.nan, np.nan]))])
         with pytest.warns(UserWarning):
             g = impute_mean(f, "x")
         assert g.values("x").tolist() == [0.0, 0.0]
 
     def test_binary_with_fractional_mean_becomes_numeric(self):
-        f = Frame([Column("b", "binary", np.array([1.0, 0.0, np.nan]),
-                          np.array([False, False, True]))])
+        f = Frame([Column("b", "binary", np.array([1.0, 0.0, np.nan]))])
         g = impute_mean(f, "b")
         assert g.kind("b") == "numeric"
         assert g.values("b")[2] == 0.5
@@ -599,7 +606,7 @@ class TestImputeMean:
             miss = rng.uniform(size=n) < 0.4
             if miss.all():
                 miss[0] = False
-            f = Frame([Column("x", "numeric", np.where(miss, np.nan, vals), miss)])
+            f = Frame([Column("x", "numeric", np.where(miss, np.nan, vals))])
             g = impute_mean(f, "x")
             assert np.isclose(g.values("x").mean(), vals[~miss].mean())
 
@@ -625,8 +632,7 @@ class TestDeriveBinaryLabel:
         assert g.values("window_rich").tolist() == [0.0, 0.0, 0.0, 1.0, 1.0]
 
     def test_missing_rejected(self):
-        f = Frame([Column("x", "numeric", np.array([1.0, np.nan]),
-                          np.array([False, True]))])
+        f = Frame([Column("x", "numeric", np.array([1.0, np.nan]))])
         with pytest.raises(MissingDataError):
             derive_binary_label(f, LabelRule("x", "t"))
 
@@ -684,25 +690,39 @@ class TestFrameInvariants:
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(TypeConflictError):
-            Frame([Column("x", "numeric", np.array([1.0]), np.array([False])),
-                   Column("x", "numeric", np.array([2.0]), np.array([False]))])
+            Frame([Column("x", "numeric", np.array([1.0])),
+                   Column("x", "numeric", np.array([2.0]))])
 
     def test_empty_text_is_missing(self):
         # CSV writes both as an empty field, so only one can read back
-        c = Column("c", "categorical", np.array(["", "a"], dtype=object),
-                   np.array([False, False]))
+        c = Column("c", "categorical", np.array(["", "a"], dtype=object))
         assert c.missing.tolist() == [True, False]
         assert Frame([c]) == Frame.from_dict({"c": np.array(["", "a"], dtype=object)})
 
+    def test_missing_mask_is_derived_from_values(self):
+        assert Column("x", "numeric", np.array([1.0, np.inf, np.nan])).missing.tolist() == [
+            False, True, True]
+        c = Column("b", "binary", np.array([0.0, -np.inf]))
+        assert c.missing.tolist() == [False, True] and np.isnan(c.values[1])
+
+    def test_column_equality_compares_values(self):
+        x = Column("x", "numeric", np.array([0.0, np.nan]))
+        assert x == Column("x", "numeric", np.array([-0.0, np.inf]))
+        assert x in [Column("y", "numeric", x.values), x]
+        assert x != Column("y", "numeric", x.values)
+        assert x != Column("x", "binary", x.values)
+        assert x != Column("x", "numeric", np.array([1.0, np.nan]))
+        c = Column("c", "categorical", np.array(["a", ""], dtype=object))
+        assert c == Column("c", "categorical", np.array(["a", ""], dtype=object))
+        assert c != Column("c", "categorical", np.array(["a", "b"], dtype=object))
+
     def test_binary_values_checked(self):
         with pytest.raises(TypeConflictError):
-            Column("b", "binary", np.array([0.0, 2.0]), np.array([False, False]))
+            Column("b", "binary", np.array([0.0, 2.0]))
 
     def test_numeric_matrix_guards(self):
-        f = Frame([Column("x", "numeric", np.array([1.0, np.nan]),
-                          np.array([False, True])),
-                   Column("c", "categorical", np.array(["a", "b"], dtype=object),
-                          np.array([False, False]))])
+        f = Frame([Column("x", "numeric", np.array([1.0, np.nan])),
+                   Column("c", "categorical", np.array(["a", "b"], dtype=object))])
         with pytest.raises(MissingDataError):
             f.numeric_matrix(["x"])
         with pytest.raises(KindError):

@@ -8,6 +8,8 @@ by a removed function turns it red too.  No source holds a ``global`` or
 in module scope or in a closure.  Only ``frame.py`` imports ``csv``, and
 no source calls ``csv.writer`` or ``DictWriter``, so one module knows the
 CSV format and every file causet writes goes through its one writer.
+A dataclass with an ``np.ndarray`` field sets ``eq=False`` or defines its
+own ``__eq__``, since the generated one compares arrays and raises.
 """
 
 import ast
@@ -64,3 +66,17 @@ def test_only_frame_knows_the_csv_format(path):
     names = {node.attr if isinstance(node, ast.Attribute) else node.id
              for node in ast.walk(tree) if isinstance(node, (ast.Attribute, ast.Name))}
     assert names & {"writer", "DictWriter"} == set()
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_array_dataclasses_define_equality(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    offenders = [
+        node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+        and any(ast.unparse(d).startswith("dataclass") and "eq=False" not in ast.unparse(d)
+                for d in node.decorator_list)
+        and any(isinstance(s, ast.AnnAssign) and "np.ndarray" in ast.unparse(s.annotation)
+                for s in node.body)
+        and "__eq__" not in {s.name for s in node.body if isinstance(s, ast.FunctionDef)}
+    ]
+    assert offenders == []

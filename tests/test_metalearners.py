@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,13 @@ class TestSLearner:
         f = make_frame(np.ones(4), np.ones(4))
         with pytest.raises(SingleClassError):
             s_learner(f, "t", "y", (), LINEAR)
+
+    def test_equality_is_identity(self):
+        t = np.array([0.0, 1.0] * 10)
+        f = make_frame(t, 3.0 + 2.0 * t)
+        a, b = s_learner(f, "t", "y", (), LINEAR), s_learner(f, "t", "y", (), LINEAR)
+        assert a == a and a != b and a not in [b]
+        assert replace(a, ate=0.0).ite is a.ite
 
 
 class TestTLearner:

@@ -64,6 +64,10 @@ class TestGenerate:
         assert np.array_equal(a.X, b.X) and np.array_equal(a.y, b.y)
         assert not np.array_equal(a.X, c.X)
 
+    def test_equality_is_identity(self):
+        a, b = generate(n=30, seed=21), generate(n=30, seed=21)
+        assert a == a and a != b and a not in [b]
+
     def test_propensity_clipped(self):
         ss = generate(n=5000, seed=17)
         assert ss.e_true.min() >= 0.1 and ss.e_true.max() <= 0.9
