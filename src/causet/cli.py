@@ -43,10 +43,11 @@ def _load_spec(path: str, seed_flag: int | None):
 
 
 def _emit_report(report: dict, out_dir: Path, filename: str, fmt: str) -> None:
+    text = report_to_json(report)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / filename).write_text(report_to_json(report), encoding="utf-8")
+    (out_dir / filename).write_text(text, encoding="utf-8")
     if fmt == "machine":
-        sys.stdout.write(report_to_json(report))
+        sys.stdout.write(text)
     elif report.get("kind") == "query":
         sys.stdout.write(
             pipeline.render_table(
@@ -131,14 +132,16 @@ def _cmd_compare(args) -> int:
             raise CausetError(f"report {path} is not a JSON object")
         reports.append(report)
     comparison = pipeline.compare_report(reports)
+    if args.format == "machine" or args.out is not None:
+        text = report_to_json(comparison)
     if args.format == "machine":
-        sys.stdout.write(report_to_json(comparison))
+        sys.stdout.write(text)
     else:
         sys.stdout.write(pipeline.render_table(comparison["columns"], comparison["rows"]))
     if args.out is not None:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "comparison.json").write_text(report_to_json(comparison), encoding="utf-8")
+        (out_dir / "comparison.json").write_text(text, encoding="utf-8")
     return 0
 
 

@@ -223,34 +223,13 @@ class Frame:
 # -- CSV ---------------------------------------------------------------------
 
 
-def _off_01(values: np.ndarray) -> np.ndarray:
-    """Mask of the finite values that are neither 0 nor 1."""
-    return np.isfinite(values) & (values != 0.0) & (values != 1.0)
-
-
 def _kind_of(values: np.ndarray) -> str:
     """Kind of a parsed float column: binary when it has finite values and
     all of them are 0 or 1, numeric otherwise (also when none is finite)."""
-    if np.isfinite(values).any() and not _off_01(values).any():
+    finite = np.isfinite(values)
+    if finite.any() and not (finite & (values != 0.0) & (values != 1.0)).any():
         return "binary"
     return "numeric"
-
-
-def _raise_first_bad_cell(name: str, kind: str, cells: list[str]) -> None:
-    """Raise for the first cell, in row order, that does not parse or, in a
-    binary column, is finite and neither 0 nor 1.  A blank cell is missing
-    and never offends."""
-    for c in cells:
-        try:
-            v = float(c or "nan")
-        except ValueError:
-            raise TypeConflictError(
-                f"column {name!r} declared {kind} but cell {c!r} is not numeric"
-            ) from None
-        if kind == "binary" and math.isfinite(v) and v not in (0.0, 1.0):
-            raise TypeConflictError(
-                f"column {name!r} declared binary but cell {c!r} is not 0/1"
-            )
 
 
 def _blocks(reader) -> Iterator[list[list[str]]]:
@@ -288,63 +267,53 @@ def _parse_block(lines: list[str], width: int, limit: int) -> np.ndarray | None:
     return parsed if parsed.shape == (len(lines), width) else None
 
 
-def load_csv(path: str | Path, schema: Mapping[str, str] | None = None) -> Frame:
+def load_csv(path: str | Path) -> Frame:
     """Load a CSV file into a frame.
 
-    Column kinds come from ``schema`` where given and are inferred otherwise:
-    all-numeric columns become numeric, {0, 1} columns binary, anything else
-    categorical.  Empty cells are missing, and so are non-finite numbers.
+    A column's kind comes from its cells: categorical when a cell does not
+    parse as a number, otherwise binary when it has finite values and all
+    of them are 0 or 1, numeric otherwise.  Empty cells are missing, and so
+    are non-finite numbers.
 
-    Rows are read ``_BLOCK`` lines at a time.  While no column is declared
-    categorical, a block of ``_NUMERIC_BYTES`` only, with lines that fit
-    csv's field size limit, is parsed in one call to numpy's C reader; it is
-    kept when every cell parsed into one row per line and one column per
-    header name, so its values are those csv would give.  The first block
-    that is not kept goes, with the rest of the file, through
-    ``csv.reader``: each block is checked for ragged rows and transposed,
-    and each column that may still be numeric has its cells parsed with one
-    ``float()`` each, an empty one as ``"nan"``; a column whose parse fails
-    is not parsed again.  So a blank cell, a quote or a text cell costs at
-    most one block parsed twice.  The kind is inferred from the whole parsed
-    column.  Cell text is kept only for the columns that need it (declared
-    categorical, inferred categorical because a cell did not parse, or
-    declared numeric or binary and holding a bad cell), taken in a second
-    pass over the file, so an all-numeric file is read once and memory holds
-    one block of cells plus the parsed columns.
+    Rows are read ``_BLOCK`` lines at a time.  A block of ``_NUMERIC_BYTES``
+    only, with lines that fit csv's field size limit, is parsed in one call
+    to numpy's C reader; it is kept when every cell parsed into one row per
+    line and one column per header name, so its values are those csv would
+    give.  The first block that is not kept goes, with the rest of the file,
+    through ``csv.reader``: each block is checked for ragged rows and
+    transposed, and each column that may still be numeric has its cells
+    parsed with one ``float()`` each, an empty one as ``"nan"``; a column
+    whose parse fails is not parsed again.  So a blank cell, a quote or a
+    text cell costs at most one block parsed twice.  Cell text is kept only
+    for the columns where a cell did not parse, taken in a second pass over
+    the file, so an all-numeric file is read once and memory holds one block
+    of cells plus the parsed columns.
 
-    Errors keep a fixed order: a ragged row anywhere raises first; otherwise
-    the first offending column in header order raises, naming its first
-    offending cell in row order.  Bytes that are not UTF-8, or a field over
-    csv's size limit, raise a :class:`ParseError` naming the path.  A
-    ``schema`` name missing from the header raises
-    :class:`UnknownColumnError` before any row is read.
+    Errors: a file that cannot be read, or has no header row, raises
+    :class:`IoError`.  Otherwise the file is read in row order and the
+    first fault raises: a row whose field count is not the header's raises
+    :class:`RaggedRowError` naming its row number, and bytes that are not
+    UTF-8, or a field over csv's size limit, raise :class:`ParseError`
+    naming the path.  Rows are checked a block at a time, once the block is
+    read, so a ParseError in the block of the first ragged row (or in the
+    text that the UTF-8 decoder reads ahead) raises in its place.
     """
-    if schema:
-        for name, kind in schema.items():
-            if kind not in KINDS:
-                raise KindError(f"schema kind {kind!r} for column {name!r} is unknown")
     limit = csv.field_size_limit()
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             header = next(csv.reader(fh), None)
             if header is None:
                 raise IoError(f"{path}: empty file, header row required")
-            for name in schema or ():
-                if name not in header:
-                    raise UnknownColumnError(f"unknown column {name!r}")
-            kinds = [schema.get(name) if schema else None for name in header]
-            # Parsed chunks per column; None once the column needs its text.
-            chunks = [None if k == "categorical" else [np.empty(0)] for k in kinds]
+            # Parsed chunks per column; None once a cell does not parse.
+            chunks = [[np.empty(0)] for _ in header]
             row_no = 2
-            lines = []
-            if "categorical" not in kinds:
-                while lines := list(itertools.islice(fh, _BLOCK)):
-                    parsed = _parse_block(lines, len(header), limit)
-                    if parsed is None:
-                        break
-                    for j, c in enumerate(chunks):
-                        c.append(parsed[:, j])
-                    row_no += len(lines)
+            while lines := list(itertools.islice(fh, _BLOCK)):
+                parsed = _parse_block(lines, len(header), limit)
+                if parsed is None:
+                    break
+                for j, c in enumerate(chunks):
+                    c.append(parsed[:, j])
+                row_no += len(lines)
             for block in _blocks(csv.reader(itertools.chain(lines, fh))):
                 for i, r in enumerate(block, start=row_no):
                     if len(r) != len(header):
@@ -363,12 +332,9 @@ def load_csv(path: str | Path, schema: Mapping[str, str] | None = None) -> Frame
                         chunks[j] = None
             # Each column's parsed values, or None where its text is needed.
             values = []
-            for j, kind in enumerate(kinds):
-                v = None if chunks[j] is None else np.concatenate(chunks[j])
+            for j in range(len(chunks)):
+                values.append(None if chunks[j] is None else np.concatenate(chunks[j]))
                 chunks[j] = None
-                if v is not None and kind == "binary" and _off_01(v).any():
-                    v = None
-                values.append(v)
             texts = {j: [] for j, v in enumerate(values) if v is None}
             if texts:
                 fh.seek(0)
@@ -381,17 +347,11 @@ def load_csv(path: str | Path, schema: Mapping[str, str] | None = None) -> Frame
         raise IoError(f"cannot read {path}: {exc}") from exc
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ParseError(f"{path}: cannot parse as a UTF-8 CSV file: {exc}") from exc
-    columns = []
-    for j, (name, kind, v) in enumerate(zip(header, kinds, values)):
-        if v is not None:
-            kind = kind or _kind_of(v)
-            columns.append(Column(name, kind, v))
-            continue
-        cells = texts.pop(j)
-        if kind in ("numeric", "binary"):
-            _raise_first_bad_cell(name, kind, cells)
-        columns.append(Column(name, "categorical", np.array(cells, dtype=object)))
-    return Frame(columns)
+    return Frame([
+        Column(name, _kind_of(v), v) if v is not None
+        else Column(name, "categorical", np.array(texts.pop(j), dtype=object))
+        for j, (name, v) in enumerate(zip(header, values))
+    ])
 
 
 def _field(v) -> str:

@@ -33,7 +33,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import evaluation, metalearners, synth
-from .errors import ParseError, SchemaMismatchError
+from .errors import KindError, ParseError, SchemaMismatchError
 from .estimators import (
     DEFAULT_CLIP,
     DEFAULT_STRATA,
@@ -248,12 +248,14 @@ def _effect_row(est: EffectEstimate, control_mean: float | None) -> dict:
         "n_treated": est.n_treated,
         "n_control": est.n_control,
         "adjustment_set": list(est.adjustment_set),
-        "seed": None,  # no estimator draws at random; the key keeps the schema
+        "seed": None,  # no estimator draws at random; kept so every row has the same keys
     }
 
 
 def _prepare_frame(f: Frame, spec: QuerySpec, z: Sequence[str]) -> tuple[Frame, tuple[str, ...]]:
     """Apply the preprocessing recipe: encode categorical adjusters, impute."""
+    if f.kind(spec.outcome) == "categorical":
+        raise KindError(f"outcome {spec.outcome!r} is categorical; it must be numeric or binary")
     zcols: list[str] = []
     for name in z:
         if f.kind(name) == "categorical":
@@ -316,6 +318,8 @@ def run_query(spec: QuerySpec, out_dir: str | Path | None = None) -> dict:
     first selected estimator, and emits plot-data CSVs when ``out_dir``
     is given.  Deterministic per seed.
     """
+    if spec.refuters and not spec.estimators:
+        raise ParseError("refuters need at least one selected estimator to target")
     f = load_csv(spec.data)
     for rule in spec.label_rules:
         f = derive_binary_label(f, rule)
@@ -355,8 +359,6 @@ def run_query(spec: QuerySpec, out_dir: str | Path | None = None) -> dict:
 
     refutations = []
     if spec.refuters:
-        if not spec.estimators:
-            raise ParseError("refuters need at least one selected estimator to target")
         target = spec.estimators[0]
         task = _estimator_task(target, spec, z, pm)
         original = effects[0]["effect"]

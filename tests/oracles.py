@@ -14,15 +14,7 @@ import math
 import numpy as np
 
 from causet.errors import IoError, KindError, ParseError, RaggedRowError, TypeConflictError
-from causet.frame import (
-    KINDS,
-    Column,
-    Frame,
-    _blocks,
-    _kind_of,
-    _off_01,
-    _raise_first_bad_cell,
-)
+from causet.frame import KINDS, Column, Frame, _blocks, _kind_of
 from causet.estimators import PropensityModel, fit_propensity, ipw_ate, psm_att, stratified_ate
 from causet.graph import CausalGraph
 from causet.learners import _SPLIT_TOL, _Tree, _sigmoid
@@ -207,29 +199,23 @@ def load_csv_two_pass(path, schema=None) -> Frame:
     return Frame(columns)
 
 
-def load_csv_blocks(path, schema=None) -> Frame:
-    """Load a CSV file into a frame: the former library loader, verbatim,
-    which parses every block through ``csv.reader`` and one ``float()`` per
-    cell, ``frame._BLOCK`` rows at a time.
+def load_csv_blocks(path) -> Frame:
+    """Load a CSV file into a frame: the former library loader, which parses
+    every block through ``csv.reader`` and one ``float()`` per cell,
+    ``frame._BLOCK`` rows at a time.
 
-    Column kinds come from ``schema`` where given and are inferred otherwise:
-    all-numeric columns become numeric, {0, 1} columns binary, anything else
-    categorical.  Empty cells are missing, and so are non-finite numbers.
-    A ``schema`` name missing from the header is ignored.
+    Column kinds are inferred: all-numeric columns become numeric, {0, 1}
+    columns binary, anything else categorical.  Empty cells are missing, and
+    so are non-finite numbers.
     """
-    if schema:
-        for name, kind in schema.items():
-            if kind not in KINDS:
-                raise KindError(f"schema kind {kind!r} for column {name!r} is unknown")
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
                 raise IoError(f"{path}: empty file, header row required")
-            kinds = [schema.get(name) if schema else None for name in header]
-            # Parsed chunks per column; None once the column needs its text.
-            chunks = [None if k == "categorical" else [np.empty(0)] for k in kinds]
+            # Parsed chunks per column; None once a cell does not parse.
+            chunks = [[np.empty(0)] for _ in header]
             row_no = 2
             for block in _blocks(reader):
                 for i, r in enumerate(block, start=row_no):
@@ -249,12 +235,9 @@ def load_csv_blocks(path, schema=None) -> Frame:
                         chunks[j] = None
             # Each column's parsed values, or None where its text is needed.
             values = []
-            for j, kind in enumerate(kinds):
-                v = None if chunks[j] is None else np.concatenate(chunks[j])
+            for j in range(len(chunks)):
+                values.append(None if chunks[j] is None else np.concatenate(chunks[j]))
                 chunks[j] = None
-                if v is not None and kind == "binary" and _off_01(v).any():
-                    v = None
-                values.append(v)
             texts = {j: [] for j, v in enumerate(values) if v is None}
             if texts:
                 fh.seek(0)
@@ -268,15 +251,11 @@ def load_csv_blocks(path, schema=None) -> Frame:
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ParseError(f"{path}: cannot parse as a UTF-8 CSV file: {exc}") from exc
     columns = []
-    for j, (name, kind, v) in enumerate(zip(header, kinds, values)):
+    for j, (name, v) in enumerate(zip(header, values)):
         if v is not None:
-            kind = kind or _kind_of(v)
-            columns.append(Column(name, kind, v))
-            continue
-        cells = texts.pop(j)
-        if kind in ("numeric", "binary"):
-            _raise_first_bad_cell(name, kind, cells)
-        columns.append(Column(name, "categorical", np.array(cells, dtype=object)))
+            columns.append(Column(name, _kind_of(v), v))
+        else:
+            columns.append(Column(name, "categorical", np.array(texts.pop(j), dtype=object)))
     return Frame(columns)
 
 

@@ -134,6 +134,20 @@ class TestEstimateCommand:
         stdout = capsys.readouterr().out
         payload = stdout[: stdout.rindex("report:")]
         assert json.loads(payload)["kind"] == "query"
+        assert payload == (tmp_path / "report.json").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("y_cells", [["a", "b", "c", "d"], ["a", "", "c", "d"]],
+                             ids=["full", "with_missing_cell"])
+    def test_text_outcome_is_a_kind_error(self, tmp_path, capsys, y_cells):
+        rows = [f"{x},{w},{y}" for x, w, y in zip("1234", "0101", y_cells)]
+        (tmp_path / "text.csv").write_text("x,w,y\n" + "\n".join(rows) + "\n")
+        (tmp_path / "text.graph").write_text("x -> w; x -> y; w -> y\n@treatment w\n@outcome y\n")
+        (tmp_path / "text.spec").write_text(
+            "data = text.csv\ngraph = text.graph\ntreatment = w\noutcome = y\n")
+        assert main(["estimate", str(tmp_path / "text.spec"), "--out", str(tmp_path)]) == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "KindError"
+        assert err["message"] == "outcome 'y' is categorical; it must be numeric or binary"
 
 
 class TestRefuteCommand:
@@ -189,7 +203,8 @@ class TestCompareCommand:
         rc = main(["compare", str(a / "report.json"), "--format", "machine",
                    "--out", str(tmp_path / "c")])
         assert rc == 0
-        assert (tmp_path / "c" / "comparison.json").exists()
+        assert capsys.readouterr().out == (tmp_path / "c" / "comparison.json").read_text(
+            encoding="utf-8")
 
     def test_missing_report_errors(self, tmp_path, capsys):
         rc = main(["compare", str(tmp_path / "absent.json")])

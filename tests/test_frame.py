@@ -44,9 +44,9 @@ from oracles import (
 )
 
 
-def frame_of(text, path, schema=None):
+def frame_of(text, path):
     path.write_text(text, encoding="utf-8")
-    return load_csv(path, schema=schema)
+    return load_csv(path)
 
 
 class TestLoadCsv:
@@ -68,16 +68,6 @@ class TestLoadCsv:
     def test_ragged_row(self, tmp_path):
         with pytest.raises(RaggedRowError):
             frame_of("a,b\n1,2\n3\n", tmp_path / "d.csv")
-
-    def test_schema_conflict(self, tmp_path):
-        with pytest.raises(TypeConflictError):
-            frame_of("a\nx\n", tmp_path / "d.csv", schema={"a": "numeric"})
-        with pytest.raises(TypeConflictError):
-            frame_of("a\n2\n", tmp_path / "d.csv", schema={"a": "binary"})
-
-    def test_schema_overrides_inference(self, tmp_path):
-        f = frame_of("a\n0\n1\n", tmp_path / "d.csv", schema={"a": "numeric"})
-        assert f.kind("a") == "numeric"
 
     def test_byte_order_mark_skipped(self, tmp_path):
         # the categorical column is read again in a second pass after a seek
@@ -128,7 +118,8 @@ class TestLoadCsv:
         path = tmp_path_factory.mktemp("rt") / "f.csv"
         write_csv(f, path)
         kinds = {"v": "numeric", "b": "binary", "c": "categorical"}
-        assert load_csv(path, schema=kinds) == f
+        assert load_csv_two_pass(path, schema=kinds) == f
+        assert load_csv(path) == load_csv_two_pass(path)
 
     def test_roundtrip_all_missing_column_infers_numeric(self, tmp_path):
         # No finite value gives numeric on both sides of the round trip.
@@ -136,17 +127,6 @@ class TestLoadCsv:
         assert f.kind("x") == "numeric"
         write_csv(f, tmp_path / "out.csv")
         assert load_csv(tmp_path / "out.csv") == f
-
-    def test_schema_name_missing_from_the_header(self, tmp_path):
-        # raised before any row is read, so the ragged row never is
-        with pytest.raises(UnknownColumnError, match=r"^unknown column 'A'$"):
-            frame_of("a\n1\n0,1\n", tmp_path / "d.csv", schema={"A": "binary"})
-
-    def test_first_offending_cell_names_the_error(self, tmp_path):
-        with pytest.raises(TypeConflictError, match=r"cell '2' is not 0/1"):
-            frame_of("a\n2\nabc\n", tmp_path / "d.csv", schema={"a": "binary"})
-        with pytest.raises(TypeConflictError, match=r"cell 'abc' is not numeric"):
-            frame_of("a\nabc\n2\n", tmp_path / "d.csv", schema={"a": "binary"})
 
 
 CELLS = st.one_of(
@@ -163,14 +143,14 @@ def write_rows(path, rows, names=("c0", "c1", "c2")):
         writer.writerows(rows)
 
 
-def assert_same_load(path, schema=None, oracle=load_csv_two_pass):
+def assert_same_load(path, oracle=load_csv_two_pass):
     """``load_csv`` and ``oracle`` give the same frame, bit for bit, or the
     same error; returns the frame or the error."""
     outcomes = []
     for load in (load_csv, oracle):
         try:
-            outcomes.append(load(path, schema=schema))
-        except (TypeConflictError, RaggedRowError, ParseError) as exc:
+            outcomes.append(load(path))
+        except (RaggedRowError, ParseError) as exc:
             outcomes.append((type(exc), str(exc)))
     got, expected = outcomes
     if isinstance(expected, tuple):
@@ -223,32 +203,24 @@ class TestLoaderOracle:
     them."""
 
     @settings(max_examples=300, deadline=None)
-    @given(
-        rows=st.lists(st.lists(CELLS, min_size=3, max_size=3), min_size=1, max_size=8),
-        schema_kind=st.sampled_from([None, "numeric", "binary", "categorical"]),
-    )
-    def test_same_frame_or_same_error(self, tmp_path_factory, rows, schema_kind):
+    @given(rows=st.lists(st.lists(CELLS, min_size=3, max_size=3), min_size=1, max_size=8))
+    def test_same_frame_or_same_error(self, tmp_path_factory, rows):
         path = tmp_path_factory.mktemp("oracle") / "d.csv"
         write_rows(path, rows)
-        schema = None if schema_kind is None else {"c1": schema_kind}
         for block in (1, 2, 3, frame._BLOCK):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(frame, "_BLOCK", block)
-                assert_same_load(path, schema)
+                assert_same_load(path)
 
     @settings(max_examples=400, deadline=None)
-    @given(
-        text=raw_csv_text(),
-        schema_kind=st.sampled_from([None, "numeric", "binary", "categorical"]),
-    )
-    def test_raw_text_same_as_csv_block_loader(self, tmp_path_factory, text, schema_kind):
+    @given(text=raw_csv_text())
+    def test_raw_text_same_as_csv_block_loader(self, tmp_path_factory, text):
         path = tmp_path_factory.mktemp("raw") / "d.csv"
         path.write_bytes(text.encode("utf-8"))
-        schema = None if schema_kind is None else {"c1": schema_kind}
         for block in (1, 2, 3, frame._BLOCK):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(frame, "_BLOCK", block)
-                assert_same_load(path, schema, oracle=load_csv_blocks)
+                assert_same_load(path, oracle=load_csv_blocks)
 
 
 def no_csv_blocks(reader):
@@ -310,11 +282,6 @@ class TestLoaderCReader:
             with pytest.raises(RaggedRowError, match=r"row 3 has 0 fields, header has 1"):
                 frame_of("a\n1\n\n\n", tmp_path / "d.csv")
 
-    def test_declared_categorical_keeps_numeric_text(self, tmp_path):
-        f = frame_of("a,b\n1,2\n3.0,4\n", tmp_path / "d.csv", schema={"a": "categorical"})
-        assert f.kind("a") == "categorical" and f.values("a").tolist() == ["1", "3.0"]
-        assert f.kind("b") == "numeric"
-
 
 class TestLoaderBlocks:
     """Fixed cases at two rows per block: blocks 1, 2, 3 hold rows 2-3, 4-5, 6-7."""
@@ -343,26 +310,9 @@ class TestLoaderBlocks:
         assert [f.kind(n) for n in f.names] == ["categorical", "binary", "numeric"]
         assert f.values("c0").tolist() == ["1.5"] * 4 + ["x"]
 
-    def test_declared_binary_names_first_bad_cell(self, tmp_path):
-        rows = [["2", "0", "0"], ["1", "0", "0"], ["0", "0", "0"],
-                ["1", "0", "0"], ["abc", "0", "0"]]
-        write_rows(tmp_path / "d.csv", rows)
-        with pytest.raises(TypeConflictError, match=r"cell '2' is not 0/1"):
-            load_csv(tmp_path / "d.csv", schema={"c0": "binary"})
-        assert_same_load(tmp_path / "d.csv", {"c0": "binary"})
-
-    def test_ragged_row_outranks_an_earlier_bad_cell(self, tmp_path):
-        rows = [["abc", "0", "0"], ["1", "0", "0"], ["0", "0", "0"],
-                ["1", "0", "0"], ["0", "0"]]
-        write_rows(tmp_path / "d.csv", rows)
-        with pytest.raises(RaggedRowError, match=r"row 6 has 2 fields"):
-            load_csv(tmp_path / "d.csv", schema={"c0": "numeric"})
-        assert_same_load(tmp_path / "d.csv", {"c0": "numeric"})
-
-    @pytest.mark.parametrize("schema_kind", [None, "numeric", "binary", "categorical"])
-    def test_header_only(self, tmp_path, schema_kind):
+    def test_header_only(self, tmp_path):
         write_rows(tmp_path / "d.csv", [])
-        f = assert_same_load(tmp_path / "d.csv", {"c0": schema_kind} if schema_kind else None)
+        f = assert_same_load(tmp_path / "d.csv")
         assert f.n_rows == 0 and f.names == ("c0", "c1", "c2")
 
     def test_rows_an_exact_multiple_of_the_block(self, tmp_path):
@@ -426,13 +376,15 @@ class TestWriterBytes:
                    Column("x", "numeric", np.array([1.0, 2.0]))])
         write_csv(f, tmp_path / "d.csv")
         assert (tmp_path / "d.csv").read_bytes() == b'"c\rd",x\n"a\rb",1.0\nz,2.0\n'
-        assert load_csv(tmp_path / "d.csv", {"c\rd": "categorical"}) == f
+        assert load_csv_two_pass(tmp_path / "d.csv", schema={"c\rd": "categorical"}) == f
+        assert load_csv(tmp_path / "d.csv") == load_csv_two_pass(tmp_path / "d.csv")
 
     def test_a_lone_empty_field_is_quoted(self, tmp_path):
         f = Frame([Column("", "categorical", np.array(["", "x"], dtype=object))])
         write_csv(f, tmp_path / "d.csv")
         assert (tmp_path / "d.csv").read_bytes() == b'""\n""\nx\n'
-        assert load_csv(tmp_path / "d.csv", {"": "categorical"}) == f
+        assert load_csv_two_pass(tmp_path / "d.csv", schema={"": "categorical"}) == f
+        assert load_csv(tmp_path / "d.csv") == load_csv_two_pass(tmp_path / "d.csv")
 
     @settings(max_examples=400, deadline=None)
     @given(f=frames(), name=TEXT)
@@ -441,7 +393,9 @@ class TestWriterBytes:
         f = f.drop("te,xt").with_column(Column(name, "categorical", text.values))
         path = tmp_path_factory.mktemp("roundtrip") / "f.csv"
         write_csv(f, path)
-        assert load_csv(path, {"num": "numeric", "bin": "binary", name: "categorical"}) == f
+        kinds = {"num": "numeric", "bin": "binary", name: "categorical"}
+        assert load_csv_two_pass(path, schema=kinds) == f
+        assert load_csv(path) == load_csv_two_pass(path)
 
 
 # Text without a CR, which the former writers left unquoted.

@@ -4,16 +4,17 @@ import json
 import math
 import re
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 import pytest
 from oracles import fresh_propensity_task
 
 from causet import estimators, metalearners, pipeline
-from causet.errors import NotIdentifiableError, ParseError, SchemaMismatchError
-from causet.frame import load_csv, write_csv
+from causet.errors import KindError, NotIdentifiableError, ParseError, SchemaMismatchError
+from causet.frame import Frame, impute_mean, load_csv, one_hot, write_csv
 from causet.graph import backdoor_sets, parse_graph
-from causet.rng import derive_seed
+from causet.rng import derive_seed, make_rng
 from causet.pipeline import (
     QuerySpec,
     compare_report,
@@ -319,6 +320,14 @@ class TestRunQuery:
         assert all(r["repetitions"] == 5 for r in rep["refutations"])
         assert (tmp_path / "refutations.csv").exists()
 
+    def test_refuters_without_an_estimator_fail_before_any_fit(self, query_dir, tmp_path):
+        spec = dataclasses.replace(
+            parse_query_spec(query_dir / "query.spec"), estimators=(),
+            metalearners=(("T", "linear"),), refuters=("placebo_treatment",))
+        with pytest.raises(ParseError, match="refuters need at least one selected estimator"):
+            run_query(spec, out_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
 
 def count_calls(monkeypatch, name, module=pipeline):
     """Wrap ``<module>.<name>`` in a counting wrapper; return the call list."""
@@ -493,6 +502,58 @@ class TestLabelRulePipeline:
         )
         rep = run_query(parse_query_spec(tmp_path / "q.spec"))
         assert len(rep["effects"]) == 1
+
+
+def _text_cell_query(d: Path, y_text: Sequence[str] = ()) -> QuerySpec:
+    """A query over a CSV with a text adjuster ``c`` and a numeric adjuster
+    ``x``, an empty cell in each and one in the outcome ``y``; given
+    ``y_text``, the outcome cells are those, repeated."""
+    rng = make_rng(23)
+    n = 200
+    c = rng.choice(np.array(["a", "b"], dtype=object), size=n)
+    x = rng.standard_normal(n)
+    w = (rng.uniform(size=n) < 1.0 / (1.0 + np.exp(-x - (c == "a")))).astype(float)
+    y = 2.0 * w + x + (c == "a") + rng.standard_normal(n)
+    c[0], x[1], y[2] = "", np.nan, np.nan
+    if y_text:
+        y = np.resize(np.array(y_text, dtype=object), n)
+    write_csv(Frame.from_dict({"c": c, "x": x, "w": w, "y": y}), d / "d.csv")
+    (d / "g.graph").write_text(
+        "c -> w; c -> y; x -> w; x -> y; w -> y\n@treatment w\n@outcome y\n")
+    return QuerySpec(data=str(d / "d.csv"), graph=str(d / "g.graph"),
+                     treatment="w", outcome="y")
+
+
+class TestTextCells:
+    """Text cells are the only way a categorical column enters a query: as an
+    adjuster it is one-hot encoded, as the outcome it is refused."""
+
+    def test_recipe_encodes_and_imputes(self, tmp_path):
+        spec = _text_cell_query(tmp_path)
+        rep = run_query(spec)
+        z = ("c=__missing__", "c=a", "c=b", "x")
+        assert [r["adjustment_set"] for r in rep["effects"]] == [list(z)] * 4
+        f = load_csv(spec.data)
+        assert f.kind("c") == "categorical"
+        assert [int(f.missing(name).sum()) for name in "cxy"] == [1, 1, 1]
+        f = impute_mean(impute_mean(one_hot(f, "c"), "x"), "y")
+        pm = estimators.fit_propensity(f, "w", z, clip=spec.propensity_clip)
+        expected = [
+            estimators.regression_adjustment(f, "w", "y", z),
+            estimators.psm_att(f, "w", "y", pm),
+            estimators.ipw_ate(f, "w", "y", pm),
+            estimators.stratified_ate(f, "w", "y", pm, k=spec.strata),
+        ]
+        assert [r["method"] for r in rep["effects"]] == [e.method for e in expected]
+        assert [r["effect"] for r in rep["effects"]] == [e.value for e in expected]
+
+    @pytest.mark.parametrize("y_text", [list("abcd"), ["", *"abcd"]],
+                             ids=["full", "with_missing_cell"])
+    def test_text_outcome_is_refused(self, tmp_path, y_text):
+        spec = _text_cell_query(tmp_path, y_text)
+        assert load_csv(spec.data).missing("y").any() == ("" in y_text)
+        with pytest.raises(KindError, match=r"^outcome 'y' is categorical"):
+            run_query(spec)
 
 
 @pytest.fixture(scope="module")
