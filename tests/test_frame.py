@@ -84,6 +84,10 @@ class TestLoadCsv:
         f = frame_of("a,b\n", tmp_path / "d.csv")
         assert f.n_rows == 0
 
+    def test_empty_file_has_no_header(self, tmp_path):
+        with pytest.raises(IoError, match=r"empty file, header row required$"):
+            frame_of("", tmp_path / "d.csv")
+
     def test_roundtrip_fixed(self, tmp_path):
         f = Frame.from_dict(
             {
@@ -282,6 +286,16 @@ class TestLoaderCReader:
             with pytest.raises(RaggedRowError, match=r"row 3 has 0 fields, header has 1"):
                 frame_of("a\n1\n\n\n", tmp_path / "d.csv")
 
+    def test_text_column_keeps_the_cells_the_c_reader_parsed_as_written(
+        self, tmp_path, monkeypatch
+    ):
+        # rows 2-3 take the C reader; the text cell in row 4 makes the column
+        # categorical, and its text is read again as written, not as floats
+        monkeypatch.setattr(frame, "_BLOCK", 2)
+        f = frame_of("a,b\n1,2\n3.0,4\n1e3,5\nx,6\n", tmp_path / "d.csv")
+        assert f.kind("a") == "categorical" and f.kind("b") == "numeric"
+        assert f.values("a").tolist() == ["1", "3.0", "1e3", "x"]
+
 
 class TestLoaderBlocks:
     """Fixed cases at two rows per block: blocks 1, 2, 3 hold rows 2-3, 4-5, 6-7."""
@@ -320,6 +334,31 @@ class TestLoaderBlocks:
         f = assert_same_load(tmp_path / "d.csv")
         assert f.n_rows == 4
         assert f.values("c0").tolist() == [0.0, 1.0, 2.0, 3.0]
+
+    def test_ragged_row_after_a_text_cell(self, tmp_path):
+        # c0 is no longer parsed after row 2, but every row is still counted
+        rows = [["abc", "0", "0"], ["1", "0", "0"], ["0", "0", "0"],
+                ["1", "0", "0"], ["0", "0"]]
+        write_rows(tmp_path / "d.csv", rows)
+        with pytest.raises(RaggedRowError, match=r"row 6 has 2 fields, header has 3"):
+            load_csv(tmp_path / "d.csv")
+        assert_same_load(tmp_path / "d.csv")
+
+    # Far more than the UTF-8 decoder reads ahead of the rows it hands out.
+    PADDING = b"1,0,0\n" * 50_000
+
+    def test_ragged_row_outranks_a_later_parse_error(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"c0,c1,c2\n1,0,0\n0,0\n" + self.PADDING + b"0,\xff,0\n")
+        with pytest.raises(RaggedRowError, match=r"row 3 has 2 fields, header has 3"):
+            load_csv(path)
+
+    def test_parse_error_outranks_a_later_ragged_row(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"c0,c1,c2\n1,\xff,0\n" + self.PADDING + b"0,0\n")
+        with pytest.raises(ParseError, match=r"cannot parse as a UTF-8 CSV file") as info:
+            load_csv(path)
+        assert str(path) in str(info.value)
 
 
 NUMBERS = st.one_of(st.floats(), st.sampled_from([-0.0, 5e-324, 1e16, 1 / 3]))
