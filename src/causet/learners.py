@@ -132,6 +132,7 @@ def _best_split(
     min_leaf: int,
     buf: np.ndarray,
     flags: np.ndarray,
+    tied: Sequence[int],
     unit_denom: np.ndarray | None = None,
 ) -> tuple[float, int, float]:
     """Best ``(gain, feature, threshold)`` of one node, all features at once.
@@ -145,6 +146,14 @@ def _best_split(
     nothing large.  Within a feature the first best position wins; across
     features a later feature must be strictly better, so ties go to the
     lowest feature.  Feature -1 means no split has positive gain.
+
+    A position between two equal sorted values (or before a NaN, which
+    sorts last) is no split.  ``tied`` lists the features whose sorted
+    column over the whole fit is not strictly increasing (see
+    :func:`_tied_features`); only those can hold such a position in a node,
+    so only their sorted values are gathered and masked.  A tie-free
+    feature's gains are all valid, and its threshold reads the two cells at
+    its best position straight from ``XT``.
 
     ``unit_denom`` is ``np.arange(1, n + 1) + lam`` when every weight is
     exactly 1, else None.  With unit weights the prefix sums ``cw`` of every
@@ -162,9 +171,6 @@ def _best_split(
     def block(rows: np.ndarray, k: int, width: int) -> np.ndarray:
         return rows[k, : p * width].reshape(p, width)
 
-    v = block(buf, 0, m + 1)
-    for j in range(p):
-        np.take(XT[j], node_orders[j, lo : hi + 1], out=v[j], mode="wrap")
     head = node_orders[:, :hi]
     cwy = block(buf, 2, hi)
     np.take(wt, head, out=cwy, mode="wrap")
@@ -173,16 +179,14 @@ def _best_split(
 
     # gain = cwy^2 / (cw + lam) + (wysum - cwy)^2 / (rw + lam) - parent_score,
     # with rw = wsum - cw, evaluated in that order so every bit is the same.
-    valid = block(flags, 0, m)
-    np.less(v[:, :-1], v[:, 1:], out=valid)
     if unit_denom is None:
         cw = block(buf, 1, hi)
         np.take(w, head, out=cw, mode="wrap")
         np.cumsum(cw, axis=1, out=cw)
         cw = cw[:, lo:]
+        valid = block(flags, 0, m)
+        np.greater(cw, 0, out=valid)
         ok = block(flags, 1, m)
-        np.greater(cw, 0, out=ok)
-        valid &= ok
         denom = block(buf, 4, m)
         np.add(cw, lam, out=denom)
         rw = np.subtract(wsum, cw, out=cw)
@@ -201,16 +205,42 @@ def _best_split(
         np.divide(gain, rdenom, out=gain)
         np.add(cwy, gain, out=gain)
         np.subtract(gain, wysum**2 / (wsum + lam), out=gain)
-    np.logical_not(valid, out=valid)
-    np.copyto(gain, -np.inf, where=valid)
+    v = block(buf, 0, m + 1)
+    tie = flags[1, :m]
+    for j in tied:
+        np.take(XT[j], node_orders[j, lo : hi + 1], out=v[j], mode="wrap")
+        np.less(v[j, :-1], v[j, 1:], out=tie)
+        np.logical_not(tie, out=tie)
+        np.copyto(gain[j], -np.inf, where=tie)
+    if unit_denom is None:
+        np.logical_not(valid, out=valid)
+        np.copyto(gain, -np.inf, where=valid)
 
     pos = gain.argmax(axis=1)
     best_gain, best_feat, best_thr = 0.0, -1, 0.0
     for j, (i, g) in enumerate(zip(pos.tolist(), gain[np.arange(p), pos].tolist())):
         if g > best_gain:
-            best_gain, best_feat = g, j
-            best_thr = float((v[j, i] + v[j, i + 1]) / 2.0)
+            best_gain, best_feat, best_pos = g, j, i
+    if best_feat >= 0:
+        a, b = XT[best_feat].take(node_orders[best_feat, lo + best_pos : lo + best_pos + 2])
+        best_thr = float((a + b) / 2.0)
     return best_gain, best_feat, best_thr
+
+
+def _tied_features(XT: np.ndarray, orders: np.ndarray) -> list[int]:
+    """The features whose sorted column is not strictly increasing.
+
+    Such a column holds two equal values, a NaN (which sorts last and
+    compares false), or ``-0.0`` next to ``0.0`` (which compare equal).  A
+    feature not listed is tie-free: its sorted values are strictly
+    increasing over these rows, and so over any subset of them.
+    """
+    tied = []
+    for j in range(XT.shape[0]):
+        s = XT[j].take(orders[j])
+        if not (s[:-1] < s[1:]).all():
+            tied.append(j)
+    return tied
 
 
 def _grow_tree(
@@ -221,6 +251,7 @@ def _grow_tree(
     orders: np.ndarray,
     leaf_penalty: float = 0.0,
     min_leaf: int = 1,
+    tied: Sequence[int] | None = None,
 ) -> tuple[_Tree, np.ndarray]:
     """Exact greedy penalized-squared-error tree, and its value on every row.
 
@@ -240,7 +271,18 @@ def _grow_tree(
     depth first, left child first, from an explicit stack, so they are
     numbered in preorder and growth leaves no reference cycle behind.
 
-    When every weight is exactly 1 (``(w == 1.0).all()``), the split
+    Work that no split and no output reads is skipped; the tree is the same
+    bit for bit.  ``tied`` lists the features that may hold ties (computed
+    from ``XT`` and ``orders`` by :func:`_tied_features` when None); the
+    split search masks equal neighbours on those alone.  A node's squared
+    error is computed only when the node can be searched, though its mean
+    always is, so a node with no weight raises ``ZeroDivisionError``.  A
+    child that cannot be searched (at ``max_depth``, or with fewer than
+    ``2 * min_leaf`` rows) gets only its feature-0 row order, the one order
+    a leaf reads.
+
+    When every weight is exactly 1 (``(w == 1.0).all()``), a node's weight
+    sum is its row count, its squared error is unweighted, and the split
     search gets the one ramp ``arange(1, n + 1) + leaf_penalty`` in place of
     per-node weight prefix sums (see :func:`_best_split`); the result is the
     same bit for bit.
@@ -260,11 +302,18 @@ def _grow_tree(
     wt = w * target
     lam = leaf_penalty
     p, n = orders.shape
-    unit_denom = np.arange(1.0, n + 1) + lam if (w == 1.0).all() else None
+    if tied is None:
+        tied = _tied_features(XT, orders)
+    unit = bool((w == 1.0).all())
+    unit_denom = np.arange(1.0, n + 1) + lam if unit else None
     fitted = np.empty(n)
     scratch = np.zeros(n, dtype=bool)
     buf = np.empty((5, p * n))
     flags = np.empty((2, p * n), dtype=bool)
+
+    def searchable(depth: int, n_node: int) -> bool:
+        return depth < max_depth and n_node >= 2 * min_leaf
+
     # (orders, depth, parent's child-link list, parent); the left child is
     # pushed last, so it is popped first.
     stack = [(orders, 0, None, -1)]
@@ -275,8 +324,7 @@ def _grow_tree(
             link[parent] = node
         rows = node_orders[0] if p else np.arange(n)
         n_node = rows.size
-        w_node = w[rows]
-        wsum = float(w_node.sum())
+        wsum = float(n_node) if unit else float(w[rows].sum())
         wysum = float(wt[rows].sum())
         leaf = wysum / (wsum + lam)
         feature.append(-1)
@@ -285,26 +333,41 @@ def _grow_tree(
         right.append(-1)
         value.append(leaf)
         mean = wysum / wsum
-        sse = float((w_node * (target[rows] - mean) ** 2).sum())
-        best_gain, best_feat, best_thr = 0.0, -1, 0.0
-        if depth < max_depth and n_node >= 2 * min_leaf and sse > 0.0:
-            best_gain, best_feat, best_thr = _best_split(
-                XT, w, wt, node_orders, wsum, wysum, lam, min_leaf, buf, flags, unit_denom
-            )
-        if best_feat < 0 or best_gain <= _SPLIT_TOL * sse:
+        best_feat = -1
+        if searchable(depth, n_node):
+            sq = (target[rows] - mean) ** 2
+            sse = float((sq if unit else w[rows] * sq).sum())
+            if sse > 0.0:
+                best_gain, best_feat, best_thr = _best_split(
+                    XT, w, wt, node_orders, wsum, wysum, lam, min_leaf, buf, flags, tied,
+                    unit_denom,
+                )
+                if best_gain <= _SPLIT_TOL * sse:
+                    best_feat = -1
+        if best_feat < 0:
             fitted[rows] = leaf
             continue
 
-        # One mask over the flattened (p, n_node) orders; np.compress keeps
-        # each feature's order and is several times faster than a boolean
-        # index here.
-        scratch[rows] = XT[best_feat, rows] <= best_thr
-        goes_left = scratch.take(node_orders).ravel()
-        flat = node_orders.ravel()
         feature[node] = best_feat
         threshold[node] = best_thr
-        stack.append((np.compress(~goes_left, flat).reshape(p, -1), depth + 1, right, node))
-        stack.append((np.compress(goes_left, flat).reshape(p, -1), depth + 1, left, node))
+        left0 = XT[best_feat].take(rows) <= best_thr
+        scratch[rows] = left0
+        n_left = int(np.count_nonzero(left0))
+        # A child to be searched gets all p orders from one mask over the
+        # flattened (p, n_node) orders; np.compress keeps each feature's
+        # order and is several times faster than a boolean index here.  A
+        # leaf child gets its feature-0 order alone.
+        grow_left = searchable(depth + 1, n_left)
+        grow_right = searchable(depth + 1, n_node - n_left)
+        if grow_left or grow_right:
+            goes_left = scratch.take(node_orders).ravel()
+            flat = node_orders.ravel()
+        right_orders = (np.compress(~goes_left, flat).reshape(p, -1) if grow_right
+                        else np.compress(~left0, rows)[None])
+        left_orders = (np.compress(goes_left, flat).reshape(p, -1) if grow_left
+                       else np.compress(left0, rows)[None])
+        stack.append((right_orders, depth + 1, right, node))
+        stack.append((left_orders, depth + 1, left, node))
     return _Tree(feature, threshold, left, right, value), fitted
 
 
@@ -314,6 +377,12 @@ class FittedModel:
     ``predict`` accepts exactly the training feature set; when
     ``feature_names`` is passed, columns are matched by name so any column
     order works.  Logistic models predict probabilities.
+
+    A gbt fit keeps ``fitted``, a read-only array of its predictions on its
+    own training X, equal to ``predict`` of that X bit for bit.  Linear and
+    logistic fits keep None: a product over a subset of the rows may round
+    differently under BLAS, so their training predictions come from
+    ``predict`` on the matrix the caller holds.
     """
 
     def __init__(
@@ -324,6 +393,7 @@ class FittedModel:
         coef: np.ndarray | None = None,
         base_value: float | None = None,
         trees: tuple[_Tree, ...] = (),
+        fitted: np.ndarray | None = None,
     ):
         self.spec = spec
         self.feature_names = tuple(feature_names)
@@ -333,6 +403,9 @@ class FittedModel:
             self._coef.setflags(write=False)
         self._base_value = base_value
         self._trees = trees
+        self.fitted = fitted
+        if fitted is not None:
+            fitted.setflags(write=False)
 
     def _align(self, X: np.ndarray, feature_names: Sequence[str] | None) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -576,17 +649,21 @@ def fit_gbt(
     residuals hit zero.
 
     ``X.T`` and the stable sort order of every feature are made once per
-    fit, as two ``(p, n)`` arrays that every tree reuses.  The training
-    predictions advance by the per-row leaf values that growth returns, so a
-    round costs one tree's growth and no prediction pass.  With unit
-    weights (every call without ``w``) the split search skips the weight
-    prefix sums.  Prediction walks each tree's child table a fixed ``depth``
-    steps over the C-contiguous X (see :class:`_Tree`).  Time is
+    fit, as two ``(p, n)`` arrays that every tree reuses, and so is the
+    list of tied features: a feature whose sorted column is strictly
+    increasing (no equal neighbours, no NaN, no ``-0.0`` next to ``0.0``)
+    has no tie in any node, so the split search neither gathers nor masks
+    its sorted values.  The training predictions advance by the per-row leaf
+    values that growth returns, so a round costs one tree's growth and no
+    prediction pass; the model keeps the final ones as ``fitted``.  With
+    unit weights (every call without ``w``) the split search skips the
+    weight prefix sums.  Prediction walks each tree's child table a fixed
+    ``depth`` steps over the C-contiguous X (see :class:`_Tree`).  Time is
     O(rounds * depth * n * p) after the O(p * n log n) sort.  Memory is
     O(n * p): the transposed matrix and sort orders, the orders of the nodes
     waiting to be grown, and one tree's scratch buffers (see
     :func:`_grow_tree`); all of it is freed when the fit returns, and the
-    model keeps only its trees.
+    model keeps only its trees and one training prediction per row.
     """
     spec = spec or LearnerSpec("gbt")
     if spec.kind != "gbt":
@@ -599,17 +676,18 @@ def fit_gbt(
     current = np.full(X.shape[0], base)
     XT = np.ascontiguousarray(X.T)
     orders = np.argsort(XT, axis=1, kind="stable")
+    tied = _tied_features(XT, orders)
     trees = []
     for _ in range(spec.max_iterations):
         residual = y - current
         if float((w * residual**2).sum()) == 0.0:
             break
         tree, fitted = _grow_tree(
-            XT, residual, w, spec.max_depth, orders, spec.leaf_penalty, spec.min_leaf
+            XT, residual, w, spec.max_depth, orders, spec.leaf_penalty, spec.min_leaf, tied
         )
         current = current + spec.learning_rate * fitted
         trees.append(tree)
-    return FittedModel(spec, names, base_value=base, trees=tuple(trees))
+    return FittedModel(spec, names, base_value=base, trees=tuple(trees), fitted=current)
 
 
 def fit_learner(

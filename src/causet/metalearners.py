@@ -46,14 +46,39 @@ class CateModel:
 
     def predict_ite(self, f: Frame) -> np.ndarray:
         """Predicted per-unit effects for the rows of a new frame."""
-        return EFFECTS[self.learner](self, f, f.numeric_matrix(self.features))
+        return EFFECTS[self.learner](self, f, f.numeric_matrix(self.features), None)
 
     def write_ite_csv(self, path: str | Path) -> None:
         """Dump the in-sample effects as ``row,ite`` lines."""
         write_rows(path, ("row", "ite"), [(np.arange(len(self.ite)), self.ite)])
 
 
-def _s_effect(cate: CateModel, f: Frame, X: np.ndarray) -> np.ndarray:
+def _predict(
+    model: FittedModel, X: np.ndarray, treated: np.ndarray | None, arm: int | None = None
+) -> np.ndarray:
+    """``model.predict(X)`` for a model fitted on one arm of the fitting frame.
+
+    ``arm`` is 1 for a model fitted on the treated rows, 0 for one fitted on
+    the control rows and None for one fitted on every row.  Out of sample
+    ``treated`` is None and every row of ``X`` is predicted.  In sample it
+    is the fitting frame's treated mask: the rows the model was fitted on
+    take ``model.fitted``, which equals ``predict`` on them bit for bit, and
+    only the others are predicted.  A linear model keeps no ``fitted`` and
+    predicts all of ``X`` in one call, because BLAS may round a product over
+    a subset of the rows differently.
+    """
+    if treated is None or model.fitted is None:
+        return model.predict(X)
+    if arm is None:
+        return model.fitted.copy()
+    rows = treated == bool(arm)
+    out = np.empty(X.shape[0])
+    out[rows] = model.fitted
+    out[~rows] = model.predict(X[~rows])
+    return out
+
+
+def _s_effect(cate: CateModel, f: Frame, X: np.ndarray, treated) -> np.ndarray:
     # With a linear base the arm difference is identically the treatment
     # coefficient, so it is read off directly instead of differencing two
     # predictions (same value without the per-row rounding residue).
@@ -61,34 +86,45 @@ def _s_effect(cate: CateModel, f: Frame, X: np.ndarray) -> np.ndarray:
     if cate.base.kind == "linear":
         return np.full(X.shape[0], mu.coefficient(cate.treatment))
     ones = np.ones((X.shape[0], 1))
-    treated = mu.predict(np.column_stack([X, ones]))
-    return treated - mu.predict(np.column_stack([X, np.zeros_like(ones)]))
+    arm1, arm0 = np.column_stack([X, ones]), np.column_stack([X, np.zeros_like(ones)])
+    if treated is None:
+        return mu.predict(arm1) - mu.predict(arm0)
+    # In sample, each row's own arm is the row mu was fitted on.
+    out1, out0 = mu.fitted.copy(), mu.fitted.copy()
+    out1[~treated] = mu.predict(arm1[~treated])
+    out0[treated] = mu.predict(arm0[treated])
+    return out1 - out0
 
 
-def _x_effect(cate: CateModel, f: Frame, X: np.ndarray) -> np.ndarray:
+def _x_effect(cate: CateModel, f: Frame, X: np.ndarray, treated) -> np.ndarray:
     g = cate.propensity.scores(f)
-    return g * cate.models["tau0"].predict(X) + (1.0 - g) * cate.models["tau1"].predict(X)
+    tau0 = _predict(cate.models["tau0"], X, treated, 0)
+    return g * tau0 + (1.0 - g) * _predict(cate.models["tau1"], X, treated, 1)
 
 
-# Learner name -> its effect function (cate, frame, X) -> tau-hat, where X is
-# the frame's feature matrix.  Both ``predict_ite`` and each learner's
-# in-sample ``ite`` (through ``_cate_model``) call it, so each effect formula
-# is written once.  Entries reach the sub-models' ``predict`` when called, so
+# Learner name -> its effect function (cate, frame, X, treated) -> tau-hat,
+# where X is the frame's feature matrix and ``treated`` is None for a new
+# frame, or the fitting frame's treated mask: in sample, each gbt sub-model
+# reads its own training rows from its fit (see :func:`_predict`).  Both
+# ``predict_ite`` and each learner's in-sample ``ite`` (through
+# ``_cate_model``) call it, so each effect formula is written once.  Entries reach the sub-models' ``predict`` when called, so
 # a wrapper patched over ``FittedModel.predict`` sees every prediction; the
 # learners call the entry directly, not predict_ite, so a wrapper over
 # predict_ite (as perfbench's tracer has) sees out-of-sample prediction only.
 EFFECTS = {
     "S": _s_effect,
-    "T": lambda cate, f, X: cate.models["mu1"].predict(X) - cate.models["mu0"].predict(X),
+    "T": lambda cate, f, X, treated: (
+        _predict(cate.models["mu1"], X, treated, 1) - _predict(cate.models["mu0"], X, treated, 0)
+    ),
     "X": _x_effect,
-    "R": lambda cate, f, X: cate.models["tau"].predict(X),
+    "R": lambda cate, f, X, treated: _predict(cate.models["tau"], X, treated),
 }
 
 
-def _cate_model(learner, base, f, X, z, t, models, pm=None) -> CateModel:
+def _cate_model(learner, base, f, X, z, t, models, treated, pm=None) -> CateModel:
     """The fitted model, its ``ite`` from the learner's effect function on ``f``."""
     cate = CateModel(learner, base, np.empty(0), 0.0, tuple(z), t, models, pm)
-    ite = EFFECTS[learner](cate, f, X)
+    ite = EFFECTS[learner](cate, f, X, treated)
     return replace(cate, ite=ite, ate=float(np.mean(ite)))
 
 
@@ -107,7 +143,7 @@ def s_learner(
     """Single-model learner: fit mu(x, t) and difference the two treatment arms."""
     tv, yv, X = _setup(f, t, y, z, base)
     mu = fit_learner(base, np.column_stack([X, tv]), yv, feature_names=(*z, t))
-    return _cate_model("S", base, f, X, z, t, {"mu": mu})
+    return _cate_model("S", base, f, X, z, t, {"mu": mu}, tv == 1.0)
 
 
 def t_learner(
@@ -118,7 +154,7 @@ def t_learner(
     treated = tv == 1.0
     mu1 = fit_learner(base, X[treated], yv[treated], feature_names=z)
     mu0 = fit_learner(base, X[~treated], yv[~treated], feature_names=z)
-    return _cate_model("T", base, f, X, z, t, {"mu0": mu0, "mu1": mu1})
+    return _cate_model("T", base, f, X, z, t, {"mu0": mu0, "mu1": mu1}, treated)
 
 
 def x_learner(
@@ -159,7 +195,7 @@ def x_learner(
     tau1 = fit_learner(base, X[treated], d1, feature_names=z)
     tau0 = fit_learner(base, X[~treated], d0, feature_names=z)
     models = {"mu0": mu0, "mu1": mu1, "tau0": tau0, "tau1": tau1}
-    return _cate_model("X", base, f, X, z, t, models, pm)
+    return _cate_model("X", base, f, X, z, t, models, treated, pm)
 
 
 def r_learner(
@@ -174,9 +210,9 @@ def r_learner(
     """
     tv, yv, X = _setup(f, t, y, z, base)
     m = fit_learner(base, X, yv, feature_names=z)
-    y_res = yv - m.predict(X)
+    y_res = yv - _predict(m, X, tv == 1.0)
     t_res = tv - pm.scores(f)
     pseudo = y_res / t_res
     weights = t_res**2
     tau = fit_learner(base, X, pseudo, w=weights, feature_names=z)
-    return _cate_model("R", base, f, X, z, t, {"m": m, "tau": tau}, pm)
+    return _cate_model("R", base, f, X, z, t, {"m": m, "tau": tau}, tv == 1.0, pm)

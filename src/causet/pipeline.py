@@ -33,7 +33,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import evaluation, metalearners, synth
-from .errors import KindError, ParseError, SchemaMismatchError
+from .errors import KindError, MissingDataError, ParseError, SchemaMismatchError
 from .estimators import (
     DEFAULT_CLIP,
     DEFAULT_STRATA,
@@ -253,9 +253,15 @@ def _effect_row(est: EffectEstimate, control_mean: float | None) -> dict:
 
 
 def _prepare_frame(f: Frame, spec: QuerySpec, z: Sequence[str]) -> tuple[Frame, tuple[str, ...]]:
-    """Apply the preprocessing recipe: encode categorical adjusters, impute."""
+    """Apply the preprocessing recipe: encode categorical adjusters, impute.
+
+    An outcome with no value at all is refused: imputing it would make every
+    effect exactly 0.
+    """
     if f.kind(spec.outcome) == "categorical":
         raise KindError(f"outcome {spec.outcome!r} is categorical; it must be numeric or binary")
+    if f.column(spec.outcome).missing.all():
+        raise MissingDataError(f"outcome {spec.outcome!r} has no values")
     zcols: list[str] = []
     for name in z:
         if f.kind(name) == "categorical":

@@ -149,6 +149,19 @@ class TestEstimateCommand:
         assert err["type"] == "KindError"
         assert err["message"] == "outcome 'y' is categorical; it must be numeric or binary"
 
+    def test_outcome_with_no_values_is_a_missing_data_error(self, tmp_path, capsys):
+        rows = [f"{i % 7},{i % 2}," for i in range(40)]
+        (tmp_path / "empty.csv").write_text("x,w,y\n" + "\n".join(rows) + "\n")
+        (tmp_path / "empty.graph").write_text("x -> w; x -> y; w -> y\n@treatment w\n@outcome y\n")
+        (tmp_path / "empty.spec").write_text(
+            "data = empty.csv\ngraph = empty.graph\ntreatment = w\noutcome = y\n")
+        out = tmp_path / "out"
+        assert main(["estimate", str(tmp_path / "empty.spec"), "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "MissingDataError"
+        assert err["message"] == "outcome 'y' has no values"
+        assert not (out / "report.json").exists()
+
 
 class TestRefuteCommand:
     def test_runs_refuters_against_first_estimator(self, workdir, tmp_path, capsys):

@@ -13,6 +13,7 @@ from causet.learners import (
     _best_split,
     _grow_tree,
     _sigmoid,
+    _tied_features,
     _Tree,
     fit_gbt,
     fit_learner,
@@ -242,20 +243,37 @@ WEIGHT_POOL = (0.0, 1e-300, 1e-8, 0.5, 1.0, 2.0)
 TREE_ARRAYS = ("feature", "threshold", "left", "right", "value")
 
 
+def _grow_column(rng, kind, n: int) -> np.ndarray:
+    """One feature column of ``kind`` (see :func:`grow_cases`)."""
+    if kind is None:
+        return rng.standard_normal(n)
+    if kind == "ulp":
+        return 1.0 + rng.integers(0, 3, size=n) * np.finfo(float).eps
+    if kind == "nan":
+        x = rng.standard_normal(n)
+        x[rng.uniform(size=n) < 0.2] = np.nan
+        return x
+    if kind == "zero":
+        x = rng.standard_normal(n)
+        pair = rng.permutation(n)[:2]
+        x[pair] = np.array([-0.0, 0.0])[: pair.size]
+        return x
+    return rng.integers(0, kind, size=n).astype(float)
+
+
 @st.composite
 def grow_cases(draw):
     n = draw(st.integers(1, 150))
     p = draw(st.integers(0, 3))
     rng = make_rng(draw(st.integers(0, 2**32 - 1)))
-    # None: no tied values; "ulp": 1.0 and its next two floats, where a
-    # midpoint threshold rounds onto one of the two values it separates.
-    levels = draw(st.sampled_from((2, 3, 6, "ulp", None)))
-    if levels is None:
-        X = rng.standard_normal((n, p))
-    elif levels == "ulp":
-        X = 1.0 + rng.integers(0, 3, size=(n, p)) * np.finfo(float).eps
-    else:
-        X = rng.integers(0, levels, size=(n, p)).astype(float)
+    # Each column draws its kind, so one X mixes tie-free columns (None:
+    # standard normals) with tied ones: 2, 3 or 6 integer levels; "ulp": 1.0
+    # and its next two floats, where a midpoint threshold rounds onto one of
+    # the two values it separates; "nan": normals with NaN cells, which sort
+    # last; "zero": normals holding one -0.0 and one 0.0, which compare equal.
+    kinds = draw(st.lists(st.sampled_from((2, 3, 6, "ulp", "nan", "zero", None)),
+                          min_size=p, max_size=p))
+    X = np.column_stack([_grow_column(rng, kind, n) for kind in kinds] or [np.empty((n, 0))])
     target = rng.standard_normal(n)
     weighting = draw(st.sampled_from(("ones", "uniform", "pool")))
     if weighting == "ones":
@@ -397,7 +415,8 @@ class TestTreePredict:
 
 class TestUnitWeightSplit:
     """With every weight 1, the split search without weight prefix sums
-    gives the weighted search's answer bit for bit."""
+    gives the weighted search's answer bit for bit; so does a search that
+    masks equal neighbours on the tied features alone."""
 
     @settings(max_examples=300, deadline=None)
     @given(grow_cases(), st.integers(0, 2**32 - 1))
@@ -417,10 +436,59 @@ class TestUnitWeightSplit:
         wsum, wysum = float(w[rows].sum()), float(target[rows].sum())
         buf, flags = np.empty((5, p * n)), np.empty((2, p * n), dtype=bool)
         args = (XT, w, w * target, node_orders, wsum, wysum, lam, min_leaf, buf, flags)
-        weighted = _best_split(*args)
-        unit = _best_split(*args, np.arange(1.0, n + 1) + lam)
-        assert unit[1] == weighted[1]
-        assert [float(unit[k]).hex() for k in (0, 2)] == [float(weighted[k]).hex() for k in (0, 2)]
+        want = _best_split(*args, range(p))  # weighted, every feature masked
+        for tied in (_tied_features(XT, orders), range(p)):
+            for ramp in (None, np.arange(1.0, n + 1) + lam):
+                got = _best_split(*args, tied, ramp)
+                assert got[1] == want[1]
+                assert [float(got[k]).hex() for k in (0, 2)] == [float(want[k]).hex() for k in (0, 2)]
+
+    def test_tied_features(self):
+        X = np.array([
+            [0.5, 1.0, 1.0, np.nan, -0.0],
+            [0.25, 2.0, 1.0, 1.0, 0.0],
+            [0.75, 3.0, 2.0, 2.0, 1.0],
+        ])
+        XT = np.ascontiguousarray(X.T)
+        assert _tied_features(XT, np.argsort(XT, axis=1, kind="stable")) == [2, 3, 4]
+        one = np.array([[np.nan]])
+        assert _tied_features(one, np.zeros((1, 1), dtype=np.int64)) == []
+
+
+class TestFittedValues:
+    """A gbt fit keeps its training predictions: ``fitted`` is ``predict``
+    on the training X, bit for bit, and read-only."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(grow_cases(), st.booleans())
+    def test_fitted_is_predict_on_the_training_rows(self, case, constant):
+        X, target, w, max_depth, min_leaf, lam = case
+        y = np.full(len(target), 2.5) if constant else target
+        spec = LearnerSpec("gbt", max_iterations=4, max_depth=max_depth, min_leaf=min_leaf,
+                           leaf_penalty=lam)
+        try:
+            model = fit_gbt(X, y, w=w, spec=spec)
+        except (ValueError, ZeroDivisionError):
+            return  # weights summing to zero, or a node with no positive weight
+        assert model.fitted.tobytes() == model.predict(X).tobytes()
+        assert not model.fitted.flags.writeable
+        if constant and (w == 1.0).all():
+            assert "trees: 0" in model.describe()
+
+    def test_early_stop_at_round_zero(self):
+        X = np.array([[0.0, np.nan], [1.0, 2.0], [2.0, -0.0], [3.0, 0.0]])
+        model = fit_gbt(X, np.full(4, -1.5))
+        assert "trees: 0" in model.describe()
+        assert model.fitted.tolist() == [-1.5] * 4
+        assert model.fitted.tobytes() == model.predict(X).tobytes()
+        with pytest.raises(ValueError):
+            model.fitted[0] = 0.0
+
+    def test_only_gbt_keeps_it(self):
+        X = np.array([[0.0], [1.0], [2.0]])
+        y = np.array([0.0, 1.0, 1.0])
+        assert fit_linear(X, y).fitted is None
+        assert fit_logistic(X, y).fitted is None
 
 
 def _pinned_fits():

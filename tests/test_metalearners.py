@@ -5,7 +5,7 @@ import pytest
 
 from causet.errors import SingleClassError
 from causet.estimators import PropensityModel, fit_propensity
-from causet.frame import Frame, write_csv
+from causet.frame import Column, Frame, write_csv
 from causet.learners import LearnerSpec
 from causet.metalearners import r_learner, s_learner, t_learner, x_learner
 from causet.pipeline import QuerySpec, run_query
@@ -292,16 +292,19 @@ class TestSharedInvariants:
     def test_ite_is_predict_ite_on_the_fitting_frame(self):
         # predict_ite and the in-sample ite share one effect function per
         # learner, so on the fitting frame they agree bit for bit.
+        # The gbt fits read their training predictions in sample and predict
+        # out of sample; the last case's X mixes tied and tie-free columns.
         dataset = generate(n=300, sigma=1.0, seed=31)
         f, z = dataset.to_frame(), dataset.feature_names
-        pm = fit_propensity(f, "w", z)
+        tied = f.with_column(Column(z[0], "numeric", np.round(3.0 * f.values(z[0]))))
         gbt = LearnerSpec("gbt", max_iterations=5)
-        for base in (LINEAR, gbt):
+        for frame, base in ((f, LINEAR), (f, gbt), (tied, gbt)):
+            pm = fit_propensity(frame, "w", z)
             fits = {
-                "S": s_learner(f, "w", "y", z, base),
-                "T": t_learner(f, "w", "y", z, base),
-                "X": x_learner(f, "w", "y", z, base, pm),
-                "R": r_learner(f, "w", "y", z, base, pm),
+                "S": s_learner(frame, "w", "y", z, base),
+                "T": t_learner(frame, "w", "y", z, base),
+                "X": x_learner(frame, "w", "y", z, base, pm),
+                "R": r_learner(frame, "w", "y", z, base, pm),
             }
             for name, cate in fits.items():
-                assert cate.predict_ite(f).tobytes() == cate.ite.tobytes(), (name, base.kind)
+                assert cate.predict_ite(frame).tobytes() == cate.ite.tobytes(), (name, base.kind)
