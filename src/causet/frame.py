@@ -114,10 +114,7 @@ class Frame:
 
     def __init__(self, columns: Sequence[Column]):
         cols = tuple(columns)
-        names = [c.name for c in cols]
-        if len(set(names)) != len(names):
-            dupes = sorted({n for n in names if names.count(n) > 1})
-            raise TypeConflictError(f"duplicate column names: {dupes}")
+        _check_unique([c.name for c in cols])
         lengths = {len(c) for c in cols}
         if len(lengths) > 1:
             raise RaggedRowError(f"columns have differing lengths: {sorted(lengths)}")
@@ -223,6 +220,13 @@ class Frame:
 # -- CSV ---------------------------------------------------------------------
 
 
+def _check_unique(names: Sequence[str]) -> None:
+    """Raise :class:`TypeConflictError` naming each name given twice."""
+    if len(set(names)) != len(names):
+        dupes = sorted({n for n in names if names.count(n) > 1})
+        raise TypeConflictError(f"duplicate column names: {dupes}")
+
+
 def _kind_of(values: np.ndarray) -> str:
     """Kind of a parsed float column: binary when it has finite values and
     all of them are 0 or 1, numeric otherwise (also when none is finite)."""
@@ -246,9 +250,13 @@ def _blocks(reader) -> Iterator[list[list[str]]]:
 _NUMERIC_BYTES = b"0123456789+-.eE, \t\r\n" + b"nanifty"
 
 
-def _parse_block(lines: list[str], width: int, limit: int) -> np.ndarray | None:
-    """``lines`` parsed by numpy's C reader into a (len(lines), width) array,
-    or None unless that gives what csv.reader plus float() would."""
+def _parse_block(
+    lines: list[str], width: int, usecols: list[int], limit: int
+) -> np.ndarray | None:
+    """The cells of columns ``usecols`` of ``lines``, parsed by numpy's C
+    reader into a (len(lines), len(usecols)) array, or None unless every
+    line has ``width`` fields and the parse gives what csv.reader plus
+    float() would."""
     text = "".join(lines)
     if (
         not text.isascii()
@@ -260,15 +268,23 @@ def _parse_block(lines: list[str], width: int, limit: int) -> np.ndarray | None:
     # Freed before the reader allocates: holding the joined copy through the
     # parse raised estimate_wide's peak RSS by about a tenth.
     del text
+    # No quotes here, so every comma separates two fields.  loadtxt skips a
+    # blank line (the row count below catches it) and ignores the fields of
+    # a line beyond the last of ``usecols``.
+    if any(line.count(",") != width - 1 for line in lines):
+        return None
     try:
-        parsed = np.loadtxt(lines, delimiter=",", comments=None, dtype=float, ndmin=2)
+        parsed = np.loadtxt(lines, delimiter=",", comments=None, dtype=float, ndmin=2,
+                            usecols=usecols)
     except ValueError:  # a cell that does not parse, an empty one included
         return None
-    return parsed if parsed.shape == (len(lines), width) else None
+    return parsed if parsed.shape == (len(lines), len(usecols)) else None
 
 
-def load_csv(path: str | Path) -> Frame:
-    """Load a CSV file into a frame.
+def load_csv(path: str | Path, columns: Iterable[str] | None = None) -> Frame:
+    """Load a CSV file into a frame, of the header's columns named in
+    ``columns`` (all of them when None), in header order.  A name in
+    ``columns`` that is not in the header is skipped.
 
     A column's kind comes from its cells: categorical when a cell does not
     parse as a number, otherwise binary when it has finite values and all
@@ -276,27 +292,33 @@ def load_csv(path: str | Path) -> Frame:
     are non-finite numbers.
 
     Rows are read ``_BLOCK`` lines at a time.  A block of ``_NUMERIC_BYTES``
-    only, with lines that fit csv's field size limit, is parsed in one call
-    to numpy's C reader; it is kept when every cell parsed into one row per
-    line and one column per header name, so its values are those csv would
-    give.  The first block that is not kept goes, with the rest of the file,
-    through ``csv.reader``: each block is checked for ragged rows and
-    transposed, and each column that may still be numeric has its cells
-    parsed with one ``float()`` each, an empty one as ``"nan"``; a column
-    whose parse fails is not parsed again.  So a blank cell, a quote or a
-    text cell costs at most one block parsed twice.  Cell text is kept only
-    for the columns where a cell did not parse, taken in a second pass over
-    the file, so an all-numeric file is read once and memory holds one block
-    of cells plus the parsed columns.
+    only, with lines that fit csv's field size limit and hold one comma
+    fewer than the header has names, is parsed in one call to numpy's C
+    reader, which converts the kept columns' cells alone; it is kept when
+    every one of those parsed, into one row per line, so its values are
+    those csv would give.  The first block that is not kept goes, with the
+    rest of the file, through ``csv.reader``: each block is checked for
+    ragged rows and transposed, and each kept column that may still be
+    numeric has its cells parsed with one ``float()`` each, an empty one as
+    ``"nan"``; a column whose parse fails is not parsed again.  So a blank
+    cell, a quote or a text cell costs at most one block parsed twice.
+    Cell text is kept only for the kept columns where a cell did not parse,
+    taken in a second pass over the file, so an all-numeric file is read
+    once.  Each block's parsed values are copied out per column, so no
+    block outlives its parse, and each column is joined from its pieces
+    only as its :class:`Column` is made: memory holds the parsed columns
+    plus one block and, at the end, one column twice.
 
-    Errors: a file that cannot be read, or has no header row, raises
-    :class:`IoError`.  Otherwise the file is read in row order and the
-    first fault raises: a row whose field count is not the header's raises
-    :class:`RaggedRowError` naming its row number, and bytes that are not
-    UTF-8, or a field over csv's size limit, raise :class:`ParseError`
-    naming the path.  Rows are checked a block at a time, once the block is
-    read, so a ParseError in the block of the first ragged row (or in the
-    text that the UTF-8 decoder reads ahead) raises in its place.
+    Errors cover every column, kept or not: a file that cannot be read, or
+    has no header row, raises :class:`IoError`.  Otherwise the file is read
+    in row order and the first fault raises: a row whose field count is not
+    the header's raises :class:`RaggedRowError` naming its row number, and
+    bytes that are not UTF-8, or a field over csv's size limit, raise
+    :class:`ParseError` naming the path.  Rows are checked a block at a
+    time, once the block is read, so a ParseError in the block of the first
+    ragged row (or in the text that the UTF-8 decoder reads ahead) raises in
+    its place.  Once the file is read, a name the header holds twice raises
+    :class:`TypeConflictError`.
     """
     limit = csv.field_size_limit()
     try:
@@ -304,15 +326,18 @@ def load_csv(path: str | Path) -> Frame:
             header = next(csv.reader(fh), None)
             if header is None:
                 raise IoError(f"{path}: empty file, header row required")
-            # Parsed chunks per column; None once a cell does not parse.
-            chunks = [[np.empty(0)] for _ in header]
+            wanted = set(header if columns is None else columns)
+            keep = [j for j, name in enumerate(header) if name in wanted]
+            # Parsed pieces per kept column; None once a cell does not parse.
+            chunks = [[np.empty(0)] for _ in keep]
             row_no = 2
             while lines := list(itertools.islice(fh, _BLOCK)):
-                parsed = _parse_block(lines, len(header), limit)
+                parsed = _parse_block(lines, len(header), keep, limit)
                 if parsed is None:
                     break
-                for j, c in enumerate(chunks):
-                    c.append(parsed[:, j])
+                for c, piece in zip(chunks, parsed.T):
+                    c.append(piece.copy())
+                del parsed
                 row_no += len(lines)
             for block in _blocks(csv.reader(itertools.chain(lines, fh))):
                 for i, r in enumerate(block, start=row_no):
@@ -321,37 +346,41 @@ def load_csv(path: str | Path) -> Frame:
                             f"{path}: row {i} has {len(r)} fields, header has {len(header)}"
                         )
                 row_no += len(block)
-                for j, cells in enumerate(zip(*block)):
-                    if chunks[j] is None:
+                cells_of = list(zip(*block))
+                for c, j in enumerate(keep):
+                    if chunks[c] is None:
                         continue
+                    cells = cells_of[j]
                     if "" in cells:
-                        cells = [c or "nan" for c in cells]
+                        cells = [x or "nan" for x in cells]
                     try:
-                        chunks[j].append(np.fromiter(map(float, cells), float, count=len(cells)))
+                        chunks[c].append(np.fromiter(map(float, cells), float, count=len(cells)))
                     except ValueError:
-                        chunks[j] = None
-            # Each column's parsed values, or None where its text is needed.
-            values = []
-            for j in range(len(chunks)):
-                values.append(None if chunks[j] is None else np.concatenate(chunks[j]))
-                chunks[j] = None
-            texts = {j: [] for j, v in enumerate(values) if v is None}
+                        chunks[c] = None
+            # Cell text of each kept column whose parse failed.
+            texts = {c: [] for c, pieces in enumerate(chunks) if pieces is None}
             if texts:
                 fh.seek(0)
                 reader = csv.reader(fh)
                 next(reader)
                 for block in _blocks(reader):
-                    for j, cells in texts.items():
-                        cells.extend(r[j] for r in block)
+                    for c, cells in texts.items():
+                        cells.extend(r[keep[c]] for r in block)
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ParseError(f"{path}: cannot parse as a UTF-8 CSV file: {exc}") from exc
-    return Frame([
-        Column(name, _kind_of(v), v) if v is not None
-        else Column(name, "categorical", np.array(texts.pop(j), dtype=object))
-        for j, (name, v) in enumerate(zip(header, values))
-    ])
+    _check_unique(header)
+    kept = []
+    for c, j in enumerate(keep):
+        if chunks[c] is None:
+            kept.append(Column(header[j], "categorical", np.array(texts.pop(c), dtype=object)))
+            continue
+        values = np.concatenate(chunks[c])
+        chunks[c] = None
+        kept.append(Column(header[j], _kind_of(values), values))
+        del values
+    return Frame(kept)
 
 
 def _field(v) -> str:
@@ -366,9 +395,19 @@ def _field(v) -> str:
     return v
 
 
+def _numbers(c: np.ndarray) -> Iterable[str]:
+    """The ``repr`` of each number in ``c``; one ``repr`` for a float block
+    whose values are all bitwise equal."""
+    if c.dtype.kind == "f" and len(c):
+        bits = c.view(f"u{c.itemsize}")
+        if (bits == bits[0]).all():
+            return itertools.repeat(repr(c[0].item()), len(c))
+    return map(repr, c.tolist())
+
+
 def _lines(columns: Sequence) -> str:
     """The CSV lines of the rows (one or more) that ``columns`` hold."""
-    fields = [map(repr, c.tolist()) if isinstance(c, np.ndarray) and c.dtype.kind in "fiu"
+    fields = [_numbers(c) if isinstance(c, np.ndarray) and c.dtype.kind in "fiu"
               else map(_field, c) for c in columns]
     if len(fields) == 1:  # a lone empty field would read as a blank line
         fields = [(v or '""' for v in fields[0])]

@@ -318,21 +318,28 @@ def _estimator_task(method: str, spec: QuerySpec, z: tuple[str, ...], pm) -> Est
 def run_query(spec: QuerySpec, out_dir: str | Path | None = None) -> dict:
     """Execute one query end to end and return its report document.
 
-    Applies label rules, identifies the adjustment set (first minimal
-    backdoor set; fails fast when unidentifiable), runs every selected
-    estimator and metalearner, runs every selected refuter against the
-    first selected estimator, and emits plot-data CSVs when ``out_dir``
+    Identifies the adjustment set first (first minimal backdoor set), which
+    needs the graph alone, so a graph fault or an unidentifiable query
+    raises before the data file is opened.  Then loads from the CSV only
+    the columns the query reads (treatment, outcome, that set, and each
+    label rule's source and target; the other columns are checked for row
+    shape and encoding, not parsed), applies the label rules, runs every
+    selected estimator and metalearner, runs every selected refuter against
+    the first selected estimator, and emits plot-data CSVs when ``out_dir``
     is given.  Deterministic per seed.
     """
     if spec.refuters and not spec.estimators:
         raise ParseError("refuters need at least one selected estimator to target")
-    f = load_csv(spec.data)
-    for rule in spec.label_rules:
-        f = derive_binary_label(f, rule)
-
     g = parse_graph(Path(spec.graph).read_text(encoding="utf-8-sig"))
     all_sets = backdoor_sets(g, spec.treatment, spec.outcome)
     z_nodes = all_sets[0]
+
+    read = {spec.treatment, spec.outcome, *z_nodes}
+    for rule in spec.label_rules:
+        read.update((rule.source, rule.target))
+    f = load_csv(spec.data, read)
+    for rule in spec.label_rules:
+        f = derive_binary_label(f, rule)
 
     f, z = _prepare_frame(f, spec, z_nodes)
     t, y = spec.treatment, spec.outcome

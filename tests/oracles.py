@@ -319,6 +319,26 @@ def normal_equations_fit(X, y, w=None, ridge=1e-8):
     return np.linalg.pinv(lhs) @ rhs
 
 
+def fit_linear_stacked(X, y, w=None, ridge=1e-8):
+    """(intercept, coef) of the former ``fit_linear``, verbatim: the design
+    ``[1, X]`` built by ``column_stack`` and scaled by ``sqrt(w)`` (ones when
+    unweighted), the ridge rows joined by ``vstack``, then one ``lstsq``."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n, k = X.shape
+    w = np.ones(n) if w is None else np.asarray(w, dtype=float)
+    sw = np.sqrt(w)
+    design = np.column_stack([np.ones(n), X]) * sw[:, None]
+    rhs = y * sw
+    if ridge > 0 and k > 0:
+        penalty = np.zeros((k, k + 1))
+        penalty[:, 1:] = np.sqrt(ridge) * np.eye(k)
+        design = np.vstack([design, penalty])
+        rhs = np.concatenate([rhs, np.zeros(k)])
+    beta, *_ = np.linalg.lstsq(design, rhs, rcond=None)
+    return float(beta[0]), beta[1:]
+
+
 def logistic_loglik(X, y, intercept, coef):
     eta = intercept + np.asarray(X, dtype=float) @ np.asarray(coef, dtype=float)
     # log L = sum y*eta - log(1 + e^eta), computed stably

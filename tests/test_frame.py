@@ -1,5 +1,7 @@
 import codecs
 import csv
+import itertools
+import math
 import tracemalloc
 import warnings
 
@@ -79,6 +81,7 @@ class TestLoadCsv:
         assert f.names == ("a", "c") and f.kind("c") == "categorical"
         assert f.values("c").tolist() == ["x", "", "y"]
         assert f == plain
+        assert_selections_match(marked, f, f.names)
 
     def test_header_only_file(self, tmp_path):
         f = frame_of("a,b\n", tmp_path / "d.csv")
@@ -147,19 +150,9 @@ def write_rows(path, rows, names=("c0", "c1", "c2")):
         writer.writerows(rows)
 
 
-def assert_same_load(path, oracle=load_csv_two_pass):
-    """``load_csv`` and ``oracle`` give the same frame, bit for bit, or the
-    same error; returns the frame or the error."""
-    outcomes = []
-    for load in (load_csv, oracle):
-        try:
-            outcomes.append(load(path))
-        except (RaggedRowError, ParseError) as exc:
-            outcomes.append((type(exc), str(exc)))
-    got, expected = outcomes
-    if isinstance(expected, tuple):
-        assert got == expected
-        return got
+def assert_bitwise_equal(got: Frame, expected: Frame) -> None:
+    """Same names in the same order, kinds, missing-masks and value bits."""
+    assert got.names == expected.names
     assert got == expected
     for a, b in zip(got.columns, expected.columns):
         assert a.kind == b.kind
@@ -168,6 +161,40 @@ def assert_same_load(path, oracle=load_csv_two_pass):
             assert a.values.tolist() == b.values.tolist()
         else:
             assert a.values.tobytes() == b.values.tobytes()
+
+
+def outcome(load, *args):
+    """The frame ``load(*args)`` returns, or the type and text of its error."""
+    try:
+        return load(*args)
+    except (RaggedRowError, ParseError, TypeConflictError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_selections_match(path, full, names=("c0", "c1", "c2")):
+    """For every subset of ``names``, given in reverse order and with a name
+    the header lacks, ``load_csv(path, subset)`` is ``full`` (the outcome of
+    ``load_csv(path)``) restricted to the subset in header order, or the
+    same error."""
+    for size in range(len(names) + 1):
+        for subset in itertools.combinations(names, size):
+            got = outcome(load_csv, path, ["absent", *reversed(subset)])
+            if isinstance(full, tuple):
+                assert got == full
+            else:
+                assert_bitwise_equal(got, Frame([c for c in full.columns if c.name in subset]))
+
+
+def assert_same_load(path, oracle=load_csv_two_pass):
+    """``load_csv`` and ``oracle`` give the same frame, bit for bit, or the
+    same error, and so does every selection of the frame's columns; returns
+    the frame or the error."""
+    got, expected = outcome(load_csv, path), outcome(oracle, path)
+    if isinstance(expected, tuple):
+        assert got == expected
+    else:
+        assert_bitwise_equal(got, expected)
+    assert_selections_match(path, got)
     return got
 
 
@@ -361,6 +388,64 @@ class TestLoaderBlocks:
         assert str(path) in str(info.value)
 
 
+class TestLoadColumns:
+    """A fault that sits only in columns ``load_csv(path, columns)`` does
+    not load raises exactly what ``load_csv(path)`` raises.  (The loaded
+    columns' bits are checked by ``assert_selections_match``.)"""
+
+    def assert_same_fault(self, path, error, match):
+        with pytest.raises(error, match=match) as full:
+            load_csv(path)
+        with pytest.raises(error) as selected:
+            load_csv(path, ["a"])
+        assert str(selected.value) == str(full.value)
+
+    @pytest.mark.parametrize("block", [2, frame._BLOCK])
+    @pytest.mark.parametrize("row", ["4,5", "4,5,6,7", "", "4,5,6,"],
+                             ids=["short", "long", "blank", "trailing_comma"])
+    def test_ragged_row_in_unloaded_columns(self, tmp_path, monkeypatch, block, row):
+        monkeypatch.setattr(frame, "_BLOCK", block)
+        path = tmp_path / "d.csv"
+        path.write_text(f"a,b,c\n1,2,3\n{row}\n7,8,9\n", encoding="utf-8")
+        self.assert_same_fault(path, RaggedRowError, r"row 3 has \d fields, header has 3")
+
+    def test_ragged_row_after_text_in_an_unloaded_column(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,b,c\n1,x,3\n4,5\n", encoding="utf-8")
+        self.assert_same_fault(path, RaggedRowError, r"row 3 has 2 fields, header has 3")
+
+    def test_non_utf8_byte_in_an_unloaded_column(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"a,b,c\n1,2,3\n4,5,\xff\n")
+        self.assert_same_fault(path, ParseError, r"cannot parse as a UTF-8 CSV file")
+
+    def test_field_over_the_size_limit_in_an_unloaded_column(self, tmp_path):
+        # digits only, so the block would take the C reader but for its length
+        path = tmp_path / "d.csv"
+        big = "1" * (csv.field_size_limit() + 1)
+        path.write_text(f"a,b,c\n1,2,3\n4,5,{big}\n", encoding="utf-8")
+        self.assert_same_fault(path, ParseError, r"field larger than field limit")
+
+    def test_duplicate_name_among_unloaded_columns(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,b,b\n1,2,3\n", encoding="utf-8")
+        self.assert_same_fault(path, TypeConflictError, r"duplicate column names: \['b'\]")
+        # the rows are read first, as in the full load
+        path.write_text("a,b,b\n1,2,3\n4,5\n", encoding="utf-8")
+        self.assert_same_fault(path, RaggedRowError, r"row 3 has 2 fields")
+
+    def test_duplicate_name_among_loaded_columns(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,a,b\n1,2,3\n", encoding="utf-8")
+        self.assert_same_fault(path, TypeConflictError, r"duplicate column names: \['a'\]")
+
+    def test_no_column_requested(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,b\n1,2\n", encoding="utf-8")
+        assert load_csv(path, []) == Frame([])
+        assert load_csv(path, ["z"]).names == ()
+
+
 NUMBERS = st.one_of(st.floats(), st.sampled_from([-0.0, 5e-324, 1e16, 1 / 3]))
 TEXT = st.one_of(
     st.text(alphabet='ab ,"\n\r', max_size=4),
@@ -417,6 +502,7 @@ class TestWriterBytes:
         assert (tmp_path / "d.csv").read_bytes() == b'"c\rd",x\n"a\rb",1.0\nz,2.0\n'
         assert load_csv_two_pass(tmp_path / "d.csv", schema={"c\rd": "categorical"}) == f
         assert load_csv(tmp_path / "d.csv") == load_csv_two_pass(tmp_path / "d.csv")
+        assert_selections_match(tmp_path / "d.csv", f, f.names)
 
     def test_a_lone_empty_field_is_quoted(self, tmp_path):
         f = Frame([Column("", "categorical", np.array(["", "x"], dtype=object))])
@@ -435,6 +521,7 @@ class TestWriterBytes:
         kinds = {"num": "numeric", "bin": "binary", name: "categorical"}
         assert load_csv_two_pass(path, schema=kinds) == f
         assert load_csv(path) == load_csv_two_pass(path)
+        assert_selections_match(path, load_csv(path), f.names)
 
 
 # Text without a CR, which the former writers left unquoted.
@@ -453,6 +540,33 @@ class TestOneWriter:
         write_ite_csv_rowwise(ite, d / "rowwise.csv")
         cate = CateModel("S", LearnerSpec("linear"), np.array(ite, dtype=float), 0.0, (), "w")
         for block in (1, 3, frame._BLOCK):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(frame, "_BLOCK", block)
+                cate.write_ite_csv(d / "ite.csv")
+            assert (d / "ite.csv").read_bytes() == (d / "rowwise.csv").read_bytes()
+
+    @pytest.mark.parametrize("ite", [
+        [0.0, -0.0, 0.0, 0.0], [-0.0] * 5, [math.nan] * 5, [math.nan, -math.nan, math.nan],
+        [1 / 3], [5e-324] * 7, [1e16] * 4 + [1e16 + 2],
+    ], ids=["zero_signs", "negative_zeros", "nan", "nan_signs", "one_row", "subnormal", "last"])
+    def test_ite_file_of_equal_values(self, tmp_path, ite):
+        # a block whose values are all bitwise equal is formatted with one repr
+        write_ite_csv_rowwise(ite, tmp_path / "rowwise.csv")
+        cate = CateModel("S", LearnerSpec("linear"), np.array(ite, dtype=float), 0.0, (), "w")
+        for block in (1, 3, frame._BLOCK):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(frame, "_BLOCK", block)
+                cate.write_ite_csv(tmp_path / "ite.csv")
+            assert (tmp_path / "ite.csv").read_bytes() == (tmp_path / "rowwise.csv").read_bytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(ite=st.lists(st.sampled_from([0.0, -0.0, math.nan, -math.nan, 1 / 3, 5e-324]),
+                        max_size=9))
+    def test_ite_file_of_few_values(self, tmp_path_factory, ite):
+        d = tmp_path_factory.mktemp("few")
+        write_ite_csv_rowwise(ite, d / "rowwise.csv")
+        cate = CateModel("S", LearnerSpec("linear"), np.array(ite, dtype=float), 0.0, (), "w")
+        for block in (1, 2, 3):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(frame, "_BLOCK", block)
                 cate.write_ite_csv(d / "ite.csv")
@@ -484,8 +598,11 @@ class TestOneWriter:
 
 class TestLoaderMemory:
     def test_peak_is_a_small_multiple_of_the_frame(self, tmp_path):
-        # Holding every row's cell strings at once peaked near 11x the frame;
-        # one block of cells plus the parsed columns stays near 2.4x.
+        # Holding every row's cell strings at once peaked near 11x the frame,
+        # and keeping each parsed block alive until its columns were joined,
+        # then copying them into the frame, near 2.8x.  Each column made once
+        # from pieces that are freed as it is made peaks near 1.65x: the
+        # frame, one block of lines and, at the end, one column twice.
         n, k = 50_000, 10
         rng = make_rng(5)
         f = Frame([Column(f"x{j}", "numeric", rng.standard_normal(n)) for j in range(k)])
@@ -498,7 +615,7 @@ class TestLoaderMemory:
         finally:
             tracemalloc.stop()
         assert g == f
-        assert peak < 5 * size, f"peak {peak / size:.1f}x the frame"
+        assert peak < 2 * size, f"peak {peak / size:.2f}x the frame"
 
 
 class TestOneHot:

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from causet.learners import (
 from causet.rng import make_rng
 
 from oracles import (
+    fit_linear_stacked,
     grow_tree_per_feature,
     logistic_loglik,
     normal_equations_fit,
@@ -48,6 +50,10 @@ class TestLearnerSpec:
         LearnerSpec("gbt", learning_rate=0.0)
 
 
+def linear_params(m: FittedModel) -> np.ndarray:
+    return np.array([m.intercept, *(m.coefficient(name) for name in m.feature_names)])
+
+
 class TestFitLinear:
     def test_two_point_line(self):
         m = fit_linear(np.array([[0.0], [1.0]]), np.array([1.0, 3.0]))
@@ -71,6 +77,40 @@ class TestFitLinear:
             beta = normal_equations_fit(X, y, w=w, ridge=m.spec.ridge)
             got = np.array([m.intercept, *(m.coefficient(f"x{i}") for i in range(3))])
             assert np.allclose(got, beta, rtol=1e-8, atol=1e-10)
+
+    @pytest.mark.parametrize("k", [0, 1, 4])
+    @pytest.mark.parametrize("ridge", [0.0, 1e-8, 0.5])
+    @pytest.mark.parametrize("weights", ["none", "unit", "random"])
+    def test_same_bits_as_the_stacked_design(self, k, ridge, weights):
+        # One array each for the design and right-hand side, and no scaling
+        # pass when unweighted, give lstsq the values it had before.
+        rng = make_rng(17 + k)
+        for n in (1, 7, 300):
+            X = rng.standard_normal((n, k)) * 10.0 ** rng.integers(-3, 4, size=k)
+            X[rng.uniform(size=(n, k)) < 0.1] = -0.0
+            y = rng.standard_normal(n)
+            w = {"none": None, "unit": np.ones(n),
+                 "random": rng.uniform(0.0, 3.0, size=n)}[weights]
+            m = fit_linear(X, y, w, spec=LearnerSpec("linear", ridge=ridge))
+            intercept, coef = fit_linear_stacked(X, y, w, ridge=ridge)
+            assert linear_params(m).tobytes() == np.array([intercept, *coef]).tobytes()
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+    def test_peak_memory_is_one_design(self, weighted):
+        # The design [1, X] is 1.125x X here.  Stacking, scaling and joining
+        # the ridge rows in separate arrays peaked at 2.4-2.6x X; one design
+        # and one right-hand side peak near 1.4x.
+        rng = make_rng(8)
+        n, k = 50_000, 8
+        X, y = rng.standard_normal((n, k)), rng.standard_normal(n)
+        w = rng.uniform(size=n) if weighted else None
+        tracemalloc.start()
+        try:
+            fit_linear(X, y, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.8 * X.nbytes, f"peak {peak / X.nbytes:.2f}x X"
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):

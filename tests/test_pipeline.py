@@ -11,8 +11,9 @@ import pytest
 from oracles import fresh_propensity_task
 
 from causet import estimators, metalearners, pipeline
-from causet.errors import KindError, NotIdentifiableError, ParseError, SchemaMismatchError
-from causet.frame import Frame, impute_mean, load_csv, one_hot, write_csv
+from causet.errors import (KindError, NotIdentifiableError, ParseError, RaggedRowError, RoleError,
+                           SchemaMismatchError, TypeConflictError, UnknownColumnError)
+from causet.frame import Column, Frame, LabelRule, impute_mean, load_csv, one_hot, write_csv
 from causet.graph import backdoor_sets, parse_graph
 from causet.rng import derive_seed, make_rng
 from causet.pipeline import (
@@ -502,6 +503,91 @@ class TestLabelRulePipeline:
         )
         rep = run_query(parse_query_spec(tmp_path / "q.spec"))
         assert len(rep["effects"]) == 1
+
+
+UNIDENTIFIABLE = "U -> w; U -> y; w -> y\n@treatment w\n@outcome y\n@unobserved U\n"
+NO_OUTCOME_ROLE = "x0 -> w; x0 -> y; w -> y\n@treatment w\n"
+
+
+class TestIdentifyBeforeLoad:
+    """``run_query`` identifies from the graph alone, then parses only the
+    columns the query reads; every other column is still checked for row
+    shape, encoding and a unique name."""
+
+    def spec(self, query_dir, tmp_path, graph=None, csv=None, **changes):
+        spec = parse_query_spec(query_dir / "query.spec")
+        if graph is not None:
+            (tmp_path / "q.graph").write_text(graph, encoding="utf-8")
+            changes["graph"] = str(tmp_path / "q.graph")
+        if csv is not None:
+            (tmp_path / "q.csv").write_text(csv, encoding="utf-8")
+            changes["data"] = str(tmp_path / "q.csv")
+        return dataclasses.replace(spec, estimators=("regression_adjustment",), metalearners=(),
+                                   **changes)
+
+    @pytest.mark.parametrize("graph, error", [(UNIDENTIFIABLE, NotIdentifiableError),
+                                              (NO_OUTCOME_ROLE, RoleError)],
+                             ids=["unidentifiable", "role"])
+    def test_a_graph_fault_outranks_a_data_fault(self, query_dir, tmp_path, graph, error):
+        ragged = "x0,w,y\n0.5,1,2\n0.25,0\n"
+        with pytest.raises(error):
+            run_query(self.spec(query_dir, tmp_path, graph=graph, csv=ragged))
+        with pytest.raises(error):  # as before: a graph fault alone
+            run_query(self.spec(query_dir, tmp_path, graph=graph))
+
+    def test_a_data_fault_alone_raises_as_before(self, query_dir, tmp_path):
+        with pytest.raises(RaggedRowError, match=r"row 3 has 2 fields, header has 3"):
+            run_query(self.spec(query_dir, tmp_path, graph=GRAPH,
+                                csv="x0,w,y\n0.5,1,2\n0.25,0\n"))
+
+    def test_a_column_the_query_reads_is_still_required(self, query_dir, tmp_path):
+        with pytest.raises(UnknownColumnError, match="'x4'"):
+            run_query(self.spec(query_dir, tmp_path,
+                                csv="x0,x1,x2,x3,w,y\n0,1,2,3,1,2\n1,0,2,3,0,1\n"))
+
+    def test_loads_the_columns_the_query_reads(self, query_dir, tmp_path, monkeypatch):
+        calls = []
+        original = pipeline.load_csv
+
+        def load(path, columns):
+            calls.append(set(columns))
+            return original(path, columns)
+
+        monkeypatch.setattr(pipeline, "load_csv", load)
+        run_query(self.spec(query_dir, tmp_path))
+        assert calls == [{"w", "y", "x0", "x1", "x2", "x3", "x4"}]
+        calls.clear()
+        run_query(self.spec(query_dir, tmp_path,
+                            graph="x0 -> hi; x0 -> y; hi -> y\n@treatment hi\n@outcome y\n",
+                            treatment="hi", label_rules=(LabelRule(source="x1", target="hi"),)))
+        assert calls == [{"hi", "y", "x0", "x1"}]
+
+    def test_unread_columns_leave_the_report_as_it_was(self, query_dir, tmp_path):
+        # Unread columns of text, blank cells and a name the random-common-cause
+        # refuter would otherwise avoid: the report is the one without them.
+        f = load_csv(query_dir / "data.csv")
+        rng = make_rng(3)
+        n = f.n_rows
+        wide = f.with_column(Column("note", "categorical", rng.choice(["a", "b,c", ""], size=n)),
+                             position=0)
+        wide = wide.with_column(Column("random_cause", "numeric", rng.standard_normal(n)))
+        wide = wide.with_column(Column("gap", "numeric", np.where(rng.uniform(size=n) < 0.5,
+                                                                  np.nan, 1.0)))
+        write_csv(wide, tmp_path / "wide.csv")
+        spec = dataclasses.replace(self.spec(query_dir, tmp_path), refuter_repetitions=3,
+                                   refuters=pipeline.REFUTER_NAMES)
+        narrow = run_query(spec)
+        widened = run_query(dataclasses.replace(spec, data=str(tmp_path / "wide.csv")))
+        widened["query"]["data"] = narrow["query"]["data"]
+        assert report_to_json(widened) == report_to_json(narrow)
+
+    @pytest.mark.parametrize("csv, error", [
+        ("x0,x1,x2,x3,x4,w,y,z\n0,1,0,1,0,1,2,3\n1,0,1,0,1,0,1\n", RaggedRowError),
+        ("x0,x1,x2,x3,x4,w,y,z,z\n0,1,0,1,0,1,2,3,4\n1,0,1,0,1,0,1,3,4\n", TypeConflictError),
+    ], ids=["ragged", "duplicate_name"])
+    def test_a_fault_in_an_unread_column_still_raises(self, query_dir, tmp_path, csv, error):
+        with pytest.raises(error):
+            run_query(self.spec(query_dir, tmp_path, csv=csv))
 
 
 def _text_cell_query(d: Path, y_text: Sequence[str] = ()) -> QuerySpec:
