@@ -395,19 +395,9 @@ def _field(v) -> str:
     return v
 
 
-def _numbers(c: np.ndarray) -> Iterable[str]:
-    """The ``repr`` of each number in ``c``; one ``repr`` for a float block
-    whose values are all bitwise equal."""
-    if c.dtype.kind == "f" and len(c):
-        bits = c.view(f"u{c.itemsize}")
-        if (bits == bits[0]).all():
-            return itertools.repeat(repr(c[0].item()), len(c))
-    return map(repr, c.tolist())
-
-
 def _lines(columns: Sequence) -> str:
     """The CSV lines of the rows (one or more) that ``columns`` hold."""
-    fields = [_numbers(c) if isinstance(c, np.ndarray) and c.dtype.kind in "fiu"
+    fields = [map(repr, c.tolist()) if isinstance(c, np.ndarray) and c.dtype.kind in "fiu"
               else map(_field, c) for c in columns]
     if len(fields) == 1:  # a lone empty field would read as a blank line
         fields = [(v or '""' for v in fields[0])]

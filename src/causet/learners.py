@@ -565,27 +565,20 @@ def fit_linear(
 
     The design ``[1, X]`` scaled by ``sqrt(w)``, with the ridge rows
     ``[0, sqrt(ridge) I]`` below it, and the right-hand side ``[y sqrt(w),
-    0]`` are each written into one array; an unweighted fit skips the
-    scaling, which would multiply by 1.
+    0]`` are each written into one array.
     """
     spec = spec or LearnerSpec("linear")
     if spec.kind != "linear":
         raise ValueError(f"spec kind {spec.kind!r} is not linear")
-    weighted = w is not None
     X, y, w, names = _check_xy(X, y, w, feature_names)
     n, k = X.shape
     ridge_rows = k if spec.ridge > 0 and k > 0 else 0
     design = np.zeros((n + ridge_rows, k + 1))
     rhs = np.zeros(n + ridge_rows)
-    if weighted:
-        sw = np.sqrt(w)
-        design[:n, 0] = sw
-        np.multiply(X, sw[:, None], out=design[:n, 1:])
-        np.multiply(y, sw, out=rhs[:n])
-    else:
-        design[:n, 0] = 1.0
-        design[:n, 1:] = X
-        rhs[:n] = y
+    sw = np.sqrt(w)
+    design[:n, 0] = sw
+    np.multiply(X, sw[:, None], out=design[:n, 1:])
+    np.multiply(y, sw, out=rhs[:n])
     if ridge_rows:
         design[n:, 1:] = np.sqrt(spec.ridge) * np.eye(k)
     beta, *_ = np.linalg.lstsq(design, rhs, rcond=None)

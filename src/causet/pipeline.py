@@ -322,11 +322,12 @@ def run_query(spec: QuerySpec, out_dir: str | Path | None = None) -> dict:
     needs the graph alone, so a graph fault or an unidentifiable query
     raises before the data file is opened.  Then loads from the CSV only
     the columns the query reads (treatment, outcome, that set, and each
-    label rule's source and target; the other columns are checked for row
-    shape and encoding, not parsed), applies the label rules, runs every
-    selected estimator and metalearner, runs every selected refuter against
-    the first selected estimator, and emits plot-data CSVs when ``out_dir``
-    is given.  Deterministic per seed.
+    label rule's source; the other columns are checked for row shape,
+    encoding and a unique name, not parsed), applies the label rules, which
+    add or replace their targets, runs every selected estimator and
+    metalearner, runs every selected refuter against the first selected
+    estimator, and emits plot-data CSVs when ``out_dir`` is given.
+    Deterministic per seed.
     """
     if spec.refuters and not spec.estimators:
         raise ParseError("refuters need at least one selected estimator to target")
@@ -334,9 +335,7 @@ def run_query(spec: QuerySpec, out_dir: str | Path | None = None) -> dict:
     all_sets = backdoor_sets(g, spec.treatment, spec.outcome)
     z_nodes = all_sets[0]
 
-    read = {spec.treatment, spec.outcome, *z_nodes}
-    for rule in spec.label_rules:
-        read.update((rule.source, rule.target))
+    read = {spec.treatment, spec.outcome, *z_nodes, *(rule.source for rule in spec.label_rules)}
     f = load_csv(spec.data, read)
     for rule in spec.label_rules:
         f = derive_binary_label(f, rule)

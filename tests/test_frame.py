@@ -1,7 +1,6 @@
 import codecs
 import csv
 import itertools
-import math
 import tracemalloc
 import warnings
 
@@ -540,33 +539,6 @@ class TestOneWriter:
         write_ite_csv_rowwise(ite, d / "rowwise.csv")
         cate = CateModel("S", LearnerSpec("linear"), np.array(ite, dtype=float), 0.0, (), "w")
         for block in (1, 3, frame._BLOCK):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(frame, "_BLOCK", block)
-                cate.write_ite_csv(d / "ite.csv")
-            assert (d / "ite.csv").read_bytes() == (d / "rowwise.csv").read_bytes()
-
-    @pytest.mark.parametrize("ite", [
-        [0.0, -0.0, 0.0, 0.0], [-0.0] * 5, [math.nan] * 5, [math.nan, -math.nan, math.nan],
-        [1 / 3], [5e-324] * 7, [1e16] * 4 + [1e16 + 2],
-    ], ids=["zero_signs", "negative_zeros", "nan", "nan_signs", "one_row", "subnormal", "last"])
-    def test_ite_file_of_equal_values(self, tmp_path, ite):
-        # a block whose values are all bitwise equal is formatted with one repr
-        write_ite_csv_rowwise(ite, tmp_path / "rowwise.csv")
-        cate = CateModel("S", LearnerSpec("linear"), np.array(ite, dtype=float), 0.0, (), "w")
-        for block in (1, 3, frame._BLOCK):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(frame, "_BLOCK", block)
-                cate.write_ite_csv(tmp_path / "ite.csv")
-            assert (tmp_path / "ite.csv").read_bytes() == (tmp_path / "rowwise.csv").read_bytes()
-
-    @settings(max_examples=100, deadline=None)
-    @given(ite=st.lists(st.sampled_from([0.0, -0.0, math.nan, -math.nan, 1 / 3, 5e-324]),
-                        max_size=9))
-    def test_ite_file_of_few_values(self, tmp_path_factory, ite):
-        d = tmp_path_factory.mktemp("few")
-        write_ite_csv_rowwise(ite, d / "rowwise.csv")
-        cate = CateModel("S", LearnerSpec("linear"), np.array(ite, dtype=float), 0.0, (), "w")
-        for block in (1, 2, 3):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(frame, "_BLOCK", block)
                 cate.write_ite_csv(d / "ite.csv")

@@ -82,8 +82,8 @@ class TestFitLinear:
     @pytest.mark.parametrize("ridge", [0.0, 1e-8, 0.5])
     @pytest.mark.parametrize("weights", ["none", "unit", "random"])
     def test_same_bits_as_the_stacked_design(self, k, ridge, weights):
-        # One array each for the design and right-hand side, and no scaling
-        # pass when unweighted, give lstsq the values it had before.
+        # One array each for the design and right-hand side give lstsq the
+        # values it had before.
         rng = make_rng(17 + k)
         for n in (1, 7, 300):
             X = rng.standard_normal((n, k)) * 10.0 ** rng.integers(-3, 4, size=k)

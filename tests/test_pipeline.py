@@ -557,10 +557,28 @@ class TestIdentifyBeforeLoad:
         run_query(self.spec(query_dir, tmp_path))
         assert calls == [{"w", "y", "x0", "x1", "x2", "x3", "x4"}]
         calls.clear()
+        # A rule's source is read; its target is not, since the rule replaces
+        # it (here x3, a CSV column the graph does not name).
+        rules = (LabelRule(source="x1", target="hi"), LabelRule(source="x2", target="x3"))
         run_query(self.spec(query_dir, tmp_path,
                             graph="x0 -> hi; x0 -> y; hi -> y\n@treatment hi\n@outcome y\n",
-                            treatment="hi", label_rules=(LabelRule(source="x1", target="hi"),)))
-        assert calls == [{"hi", "y", "x0", "x1"}]
+                            treatment="hi", label_rules=rules))
+        assert calls == [{"hi", "y", "x0", "x1", "x2"}]
+
+    def test_an_unread_column_named_like_a_one_hot_column(self, tmp_path):
+        # Encoding the adjuster c makes c=a.  A CSV column c=a that the query
+        # does not read is not loaded, so nothing clashes and the report is
+        # the one without it; loading every column raised TypeConflictError.
+        spec = _text_cell_query(tmp_path)
+        f = load_csv(spec.data)
+        clash = f.with_column(Column("c=a", "numeric", np.arange(f.n_rows, dtype=float)))
+        write_csv(clash, tmp_path / "clash.csv")
+        with pytest.raises(TypeConflictError, match="'c=a' already exists"):
+            one_hot(load_csv(tmp_path / "clash.csv"), "c")
+        narrow = run_query(spec)
+        widened = run_query(dataclasses.replace(spec, data=str(tmp_path / "clash.csv")))
+        widened["query"]["data"] = narrow["query"]["data"]
+        assert report_to_json(widened) == report_to_json(narrow)
 
     def test_unread_columns_leave_the_report_as_it_was(self, query_dir, tmp_path):
         # Unread columns of text, blank cells and a name the random-common-cause
