@@ -46,7 +46,7 @@ class CateModel:
 
     def predict_ite(self, f: Frame) -> np.ndarray:
         """Predicted per-unit effects for the rows of a new frame."""
-        return EFFECTS[self.learner](self, f, f.numeric_matrix(self.features), None)
+        return LEARNERS[self.learner][1](self, f, f.numeric_matrix(self.features), None)
 
     def write_ite_csv(self, path: str | Path) -> None:
         """Dump the in-sample effects as ``row,ite`` lines."""
@@ -102,29 +102,36 @@ def _x_effect(cate: CateModel, f: Frame, X: np.ndarray, treated) -> np.ndarray:
     return g * tau0 + (1.0 - g) * _predict(cate.models["tau1"], X, treated, 1)
 
 
-# Learner name -> its effect function (cate, frame, X, treated) -> tau-hat,
-# where X is the frame's feature matrix and ``treated`` is None for a new
-# frame, or the fitting frame's treated mask: in sample, each gbt sub-model
-# reads its own training rows from its fit (see :func:`_predict`).  Both
-# ``predict_ite`` and each learner's in-sample ``ite`` (through
-# ``_cate_model``) call it, so each effect formula is written once.  Entries reach the sub-models' ``predict`` when called, so
-# a wrapper patched over ``FittedModel.predict`` sees every prediction; the
-# learners call the entry directly, not predict_ite, so a wrapper over
-# predict_ite (as perfbench's tracer has) sees out-of-sample prediction only.
-EFFECTS = {
-    "S": _s_effect,
-    "T": lambda cate, f, X, treated: (
-        _predict(cate.models["mu1"], X, treated, 1) - _predict(cate.models["mu0"], X, treated, 0)
-    ),
-    "X": _x_effect,
-    "R": lambda cate, f, X, treated: _predict(cate.models["tau"], X, treated),
+# Learner name -> (fit, effect).  ``fit(nuisances, base) -> CateModel`` fits
+# the learner on a nuisance cache's frame, treatment, outcome and set
+# (``pipeline.Nuisances``), which fits the propensity model and the
+# T-learner per base once, so X reuses T's arm fits.  Fits look the learners
+# up in this module when called, so a wrapper patched over ``x_learner`` (as
+# perfbench's tracer has) sees every fit.  ``effect(cate, frame, X,
+# treated) -> tau-hat`` takes the frame's feature matrix X and, in sample,
+# the fitting frame's treated mask (None for a new frame): each gbt
+# sub-model then reads its own training rows from its fit (see
+# :func:`_predict`).  ``predict_ite`` and each learner's in-sample ``ite``
+# (through ``_cate_model``) both call it, so each formula is written once.
+# Effects reach ``FittedModel.predict`` when called, so a wrapper patched
+# over it sees every prediction; the learners call the effect directly, so
+# a wrapper over predict_ite sees out-of-sample prediction only.
+LEARNERS = {
+    "S": (lambda nu, base: s_learner(nu.frame, nu.t, nu.y, nu.z, base), _s_effect),
+    "T": (lambda nu, base: nu.t_learner(nu.frame, nu.t, nu.y, nu.z, base),
+          lambda cate, f, X, treated: (_predict(cate.models["mu1"], X, treated, 1)
+                                       - _predict(cate.models["mu0"], X, treated, 0))),
+    "X": (lambda nu, base: x_learner(nu.frame, nu.t, nu.y, nu.z, base, nu.propensity(),
+                                     nu.t_learner), _x_effect),
+    "R": (lambda nu, base: r_learner(nu.frame, nu.t, nu.y, nu.z, base, nu.propensity()),
+          lambda cate, f, X, treated: _predict(cate.models["tau"], X, treated)),
 }
 
 
 def _cate_model(learner, base, f, X, z, t, models, treated, pm=None) -> CateModel:
     """The fitted model, its ``ite`` from the learner's effect function on ``f``."""
     cate = CateModel(learner, base, np.empty(0), 0.0, tuple(z), t, models, pm)
-    ite = EFFECTS[learner](cate, f, X, treated)
+    ite = LEARNERS[learner][1](cate, f, X, treated)
     return replace(cate, ite=ite, ate=float(np.mean(ite)))
 
 
@@ -164,30 +171,20 @@ def x_learner(
     z: Sequence[str],
     base: LearnerSpec,
     pm: PropensityModel,
-    stage1: CateModel | None = None,
+    t_fit=None,
 ) -> CateModel:
     """Cross-imputation learner blended by the propensity score.
 
-    Stage 1 is the T-learner: its two arm models mu1 and mu0.  Pass the
-    T-learner already fitted on the same frame, outcome, features and base
-    as ``stage1`` to reuse its arm models; without it, the T-learner is
-    fitted here.  Stage 2 regresses the imputed effects (observed minus
-    counterfactual prediction) within each arm; predictions blend as
+    Stage 1 is the T-learner of these same arguments, ``(t_fit or
+    t_learner)(f, t, y, z, base)``: its two arm models mu1 and mu0.  A
+    ``t_fit`` with :func:`t_learner`'s signature, such as
+    ``pipeline.Nuisances.t_learner``, may hand back a fit it already made
+    for these arguments.  Stage 2 regresses the imputed effects (observed
+    minus counterfactual prediction) within each arm; predictions blend as
     e(x) * tau0(x) + (1 - e(x)) * tau1(x).
-
-    Raises ``ValueError`` when ``stage1`` is not a T-learner with this base,
-    treatment, feature set and row count.
     """
     tv, yv, X = _setup(f, t, y, z, base)
-    if stage1 is None:
-        stage1 = t_learner(f, t, y, z, base)
-    elif (stage1.learner, stage1.base, stage1.features, stage1.treatment, stage1.ite.size) != (
-        "T", base, tuple(z), t, f.n_rows
-    ):
-        raise ValueError(
-            f"stage 1 must be the T-learner on the same frame, treatment, features and base; "
-            f"got {stage1.learner}:{stage1.base.kind} over {list(stage1.features)}"
-        )
+    stage1 = (t_fit or t_learner)(f, t, y, z, base)
     treated = tv == 1.0
     mu1, mu0 = stage1.models["mu1"], stage1.models["mu0"]
     d1 = yv[treated] - mu0.predict(X[treated])
@@ -216,3 +213,4 @@ def r_learner(
     weights = t_res**2
     tau = fit_learner(base, X, pseudo, w=weights, feature_names=z)
     return _cate_model("R", base, f, X, z, t, {"m": m, "tau": tau}, tv == 1.0, pm)
+

@@ -23,7 +23,6 @@ reports.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 import warnings
 from dataclasses import dataclass
@@ -38,6 +37,7 @@ from .estimators import (
     DEFAULT_CLIP,
     DEFAULT_STRATA,
     EffectEstimate,
+    PropensityModel,
     fit_propensity,
     ipw_ate,
     psm_att,
@@ -61,19 +61,18 @@ from .rng import derive_seed
 
 REPORT_VERSION = 1
 
-# Estimator name -> fn(frame, spec, z, pm) -> EffectEstimate, where ``pm()``
-# returns the propensity model on ``frame`` over ``z``, fitted on the first
-# call, so a method that never calls it fits none.  Entries look the
-# estimators up by module name when called, so a wrapper patched over
-# ``pipeline.psm_att`` (as perfbench's tracer does) sees every call; a
-# function object captured here would bypass it.
+# Estimator name -> fn(nuisances, spec) -> EffectEstimate on the frame,
+# treatment, outcome and set of a :class:`Nuisances` cache, whose
+# ``propensity()`` fits on its first call, so a method that never calls it
+# fits none.  Entries look the estimators up by module name when called, so
+# a wrapper patched over ``pipeline.psm_att`` (as perfbench's tracer does)
+# sees every call; a function object captured here would bypass it.
 ESTIMATORS = {
-    "regression_adjustment":
-        lambda f, spec, z, pm: regression_adjustment(f, spec.treatment, spec.outcome, z),
-    "psm": lambda f, spec, z, pm: psm_att(f, spec.treatment, spec.outcome, pm()),
-    "ipw": lambda f, spec, z, pm: ipw_ate(f, spec.treatment, spec.outcome, pm()),
+    "regression_adjustment": lambda nu, spec: regression_adjustment(nu.frame, nu.t, nu.y, nu.z),
+    "psm": lambda nu, spec: psm_att(nu.frame, nu.t, nu.y, nu.propensity()),
+    "ipw": lambda nu, spec: ipw_ate(nu.frame, nu.t, nu.y, nu.propensity()),
     "stratification":
-        lambda f, spec, z, pm: stratified_ate(f, spec.treatment, spec.outcome, pm(), k=spec.strata),
+        lambda nu, spec: stratified_ate(nu.frame, nu.t, nu.y, nu.propensity(), k=spec.strata),
 }
 # Refuter name -> fn(task, frame, spec, seed, original) -> RefutationReport,
 # where ``task`` re-runs the target estimator and ``original`` is its effect
@@ -92,7 +91,7 @@ REFUTERS = {
 }
 ESTIMATOR_NAMES = tuple(ESTIMATORS)
 REFUTER_NAMES = tuple(REFUTERS)
-LEARNER_NAMES = tuple(metalearners.EFFECTS)
+LEARNER_NAMES = tuple(metalearners.LEARNERS)
 BASE_NAMES = metalearners.BASES
 TRAIN_FRACTION = 0.8  # share of each synthetic validation set the learners fit
 VALIDATION_COMBOS = tuple(
@@ -276,43 +275,44 @@ def _prepare_frame(f: Frame, spec: QuerySpec, z: Sequence[str]) -> tuple[Frame, 
     return f, tuple(zcols)
 
 
-def _fit_metalearner(learner, base_spec, frame, t, y, z, pm, t_fit):
-    """One meta-learner on ``frame``; T returns ``t_fit(base_spec)``, X takes it as stage 1."""
-    if learner == "S":
-        return metalearners.s_learner(frame, t, y, z, base_spec)
-    if learner == "R":
-        return metalearners.r_learner(frame, t, y, z, base_spec, pm())
-    if learner == "T":
-        return t_fit(base_spec)
-    return metalearners.x_learner(frame, t, y, z, base_spec, pm(), t_fit(base_spec))
+class Nuisances:
+    """The nuisance models of one frame, treatment, outcome and adjustment
+    set, each fitted on first use: the propensity model and the T-learner
+    per base.  A run makes one cache per frame and drops it when done.  Fits
+    look up ``fit_propensity`` here and ``t_learner`` in :mod:`metalearners`
+    when called, so wrappers patched over either see every fit."""
+
+    def __init__(self, frame: Frame, t: str, y: str, z: Sequence[str], clip: float = DEFAULT_CLIP):
+        self.frame, self.t, self.y, self.z, self.clip = frame, t, y, tuple(z), clip
+        self._propensity, self._t_fits = None, {}
+
+    def propensity(self) -> PropensityModel:
+        if self._propensity is None:
+            self._propensity = fit_propensity(self.frame, self.t, self.z, clip=self.clip)
+        return self._propensity
+
+    def t_learner(self, f: Frame, t: str, y: str, z: Sequence[str], base: LearnerSpec):
+        """:func:`metalearners.t_learner`, made once per base on this cache's own
+        frame (the same object), treatment, outcome and set, and afresh otherwise."""
+        if f is not self.frame or (t, y, tuple(z)) != (self.t, self.y, self.z):
+            return metalearners.t_learner(f, t, y, z, base)
+        if base not in self._t_fits:
+            self._t_fits[base] = metalearners.t_learner(f, t, y, z, base)
+        return self._t_fits[base]
 
 
-def _propensity(frame: Frame, t: str, z: Sequence[str], clip: float):
-    """Getter of the propensity model on ``frame``, fitted on its first call."""
-    return functools.cache(lambda: fit_propensity(frame, t, z, clip=clip))
-
-
-def _t_fit(frame: Frame, t: str, y: str, z: Sequence[str]):
-    """Getter of the T-learner on ``frame`` per base spec, fitted on its first call."""
-    return functools.cache(lambda base_spec: metalearners.t_learner(frame, t, y, z, base_spec))
-
-
-def _estimator_task(method: str, spec: QuerySpec, z: tuple[str, ...], pm) -> EstimationTask:
-    """``method`` adjusting for ``z``; a run uses the query's propensity fit ``pm()``
-    when its frame holds the columns that fit was made on (:meth:`PropensityModel.fitted_on`)
-    and it adjusts for ``z`` alone, and fits its own on first use otherwise."""
+def _estimator_task(method: str, spec: QuerySpec, nu: Nuisances) -> EstimationTask:
+    """``method`` adjusting for ``nu.z``, each run on a cache of its own.  That
+    cache starts from the query's propensity fit, if made, when the run adjusts
+    for ``nu.z`` and its frame holds the fit's columns (:meth:`PropensityModel.fitted_on`)."""
     def run(frame: Frame, adjustment: tuple[str, ...]) -> float:
-        @functools.cache
-        def fitted():
-            model = pm()
-            if adjustment == z and model.fitted_on(frame, spec.treatment):
-                return model
-            return fit_propensity(frame, spec.treatment, adjustment, clip=spec.propensity_clip)
+        own = Nuisances(frame, nu.t, nu.y, adjustment, nu.clip)
+        kept = nu._propensity
+        if adjustment == nu.z and kept is not None and kept.fitted_on(frame, nu.t):
+            own._propensity = kept
+        return ESTIMATORS[method](own, spec).value
 
-        return ESTIMATORS[method](frame, spec, adjustment, fitted).value
-
-    return EstimationTask(estimate=run, treatment=spec.treatment, outcome=spec.outcome,
-                          adjustment=z)
+    return EstimationTask(estimate=run, treatment=nu.t, outcome=nu.y, adjustment=nu.z)
 
 
 def run_query(spec: QuerySpec, out_dir: str | Path | None = None) -> dict:
@@ -347,8 +347,7 @@ def run_query(spec: QuerySpec, out_dir: str | Path | None = None) -> dict:
     controls = yv[tv == 0.0]
     control_mean = float(controls.mean()) if controls.size else None
 
-    pm = _propensity(f, t, z, spec.propensity_clip)
-    t_fit = _t_fit(f, t, y, z)
+    nu = Nuisances(f, t, y, z, spec.propensity_clip)
     effects = []
     ite_files: dict[str, str] = {}
     out = Path(out_dir) if out_dir is not None else None
@@ -356,11 +355,11 @@ def run_query(spec: QuerySpec, out_dir: str | Path | None = None) -> dict:
         out.mkdir(parents=True, exist_ok=True)
 
     for method in spec.estimators:
-        effects.append(_effect_row(ESTIMATORS[method](f, spec, z, pm), control_mean))
+        effects.append(_effect_row(ESTIMATORS[method](nu, spec), control_mean))
 
     n_treated, n_control = int(tv.sum()), int((1 - tv).sum())
     for learner, base in spec.metalearners:
-        cate = _fit_metalearner(learner, LearnerSpec(base), f, t, y, z, pm, t_fit)
+        cate = metalearners.LEARNERS[learner][0](nu, LearnerSpec(base))
         label = f"{learner}:{base}"
         est = EffectEstimate(label, "ATE", cate.ate, n_treated, n_control, z)
         effects.append(_effect_row(est, control_mean))
@@ -372,7 +371,7 @@ def run_query(spec: QuerySpec, out_dir: str | Path | None = None) -> dict:
     refutations = []
     if spec.refuters:
         target = spec.estimators[0]
-        task = _estimator_task(target, spec, z, pm)
+        task = _estimator_task(target, spec, nu)
         original = effects[0]["effect"]
         for index, refuter in enumerate(spec.refuters):
             rep = REFUTERS[refuter](task, f, spec, derive_seed(spec.seed, index), original)
@@ -448,13 +447,13 @@ def run_validation(
         frame = dataset.to_frame()
         train, val = split(frame, TRAIN_FRACTION, seed=derive_seed(rep_seed, 1))
         z = dataset.feature_names
-        pm, t_fit = _propensity(train, "w", z, DEFAULT_CLIP), _t_fit(train, "w", "y", z)
+        nu = Nuisances(train, "w", "y", z)
         tau_mean = float(dataset.tau_true.mean())
         tau_train = train.values("tau_true")
         tau_val = val.values("tau_true")
 
         for learner, base in VALIDATION_COMBOS:
-            cate = _fit_metalearner(learner, LearnerSpec(base), train, "w", "y", z, pm, t_fit)
+            cate = metalearners.LEARNERS[learner][0](nu, LearnerSpec(base))
             ite_val = cate.predict_ite(val)
             scatter = evaluation.prediction_scatter(ite_val, tau_val)
             curve = evaluation.uplift_curve_true(ite_val, tau_val)

@@ -119,6 +119,51 @@ def enumerate_labeled_dags(n: int):
             continue
 
 
+# -- identification and estimation together ------------------------------------
+
+
+def linear_sem(seed: int, k: int, n: int) -> tuple[Frame, str, float]:
+    """A seeded random linear SEM with a binary treatment, and its true effect.
+
+    Nodes v0..v{k-1} take a random order, and each pair in that order is an
+    edge with probability 0.4, weighted by a random sign times a size in
+    [0.3, 1].  The treatment and the outcome are two random nodes, the
+    treatment first in the order; every other node is unobserved with
+    probability 0.25.  Each node but the treatment is the weighted sum of
+    its parents plus N(0, 1) noise.  The treatment is 1 where the weighted
+    sum of its parents exceeds a standard logistic draw.  Every equation
+    downstream of the treatment is linear, so setting it from 0 to 1 moves
+    the outcome by the sum of path products, ``inv(I - B)[t, y]``.
+
+    Returns the frame of the observed nodes (the treatment a binary
+    column), the graph text (every edge, both roles, the unobserved nodes)
+    and that true effect.
+    """
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(k)
+    B = np.zeros((k, k))
+    for i in range(k):
+        for j in range(i + 1, k):
+            if rng.uniform() < 0.4:
+                B[order[i], order[j]] = rng.choice((-1.0, 1.0)) * rng.uniform(0.3, 1.0)
+    ti, yi = sorted(rng.choice(k, 2, replace=False))
+    t, y = int(order[ti]), int(order[yi])
+    unobserved = [v for v in range(k) if v not in (t, y) and rng.uniform() < 0.25]
+    values = np.zeros((k, n))
+    for v in order:
+        drive = B[:, v] @ values
+        if v == t:
+            values[v] = (rng.logistic(size=n) < drive).astype(float)
+        else:
+            values[v] = drive + rng.standard_normal(n)
+    truth = float(np.linalg.inv(np.eye(k) - B)[t, y])
+    lines = [f"v{a} -> v{b}" for a, b in zip(*np.nonzero(B))]
+    lines += [f"@treatment v{t}", f"@outcome v{y}", *(f"@unobserved v{u}" for u in unobserved)]
+    frame = Frame.from_dict({f"v{v}": values[v] for v in range(k) if v not in unobserved},
+                            {f"v{t}": "binary"})
+    return frame, "\n".join(lines) + "\n", truth
+
+
 # -- CSV loading ----------------------------------------------------------------
 
 

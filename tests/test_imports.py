@@ -9,7 +9,11 @@ in module scope or in a closure.  Only ``frame.py`` imports ``csv``, and
 no source calls ``csv.writer`` or ``DictWriter``, so one module knows the
 CSV format and every file causet writes goes through its one writer.
 A dataclass with an ``np.ndarray`` field sets ``eq=False`` or defines its
-own ``__eq__``, since the generated one compares arrays and raises.
+own ``__eq__``, since the generated one compares arrays and raises.  No
+module-level function or method is decorated with ``functools.cache`` or
+``lru_cache``: such a memo keeps its arguments, frames included, alive from
+one run to the next in the same process.  A memo made inside a function
+dies with its call and stays allowed.
 """
 
 import ast
@@ -80,3 +84,33 @@ def test_array_dataclasses_define_equality(path):
         and "__eq__" not in {s.name for s in node.body if isinstance(s, ast.FunctionDef)}
     ]
     assert offenders == []
+
+
+def memoized_functions(tree):
+    """Names of the module-level functions and methods in ``tree`` decorated
+    with ``cache`` or ``lru_cache`` (bare, called or as a ``functools`` attribute)."""
+    defs = [*tree.body, *(s for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for s in c.body)]
+    for node in defs:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+                if name in ("cache", "lru_cache"):
+                    yield node.name
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("@functools.cache\ndef f(x): pass", ["f"]),
+    ("@lru_cache(maxsize=None)\ndef f(x): pass", ["f"]),
+    ("class A:\n    @functools.lru_cache\n    def m(self): pass", ["m"]),
+    ("def f():\n    g = functools.cache(lambda: 1)\n"
+     "    @functools.cache\n    def h(): pass\n    return g, h", []),
+])
+def test_memo_finder(source, expected):
+    assert list(memoized_functions(ast.parse(source))) == expected
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_memo_outlives_a_run(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert list(memoized_functions(tree)) == []

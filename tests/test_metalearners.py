@@ -7,13 +7,14 @@ from causet.errors import SingleClassError
 from causet.estimators import PropensityModel, fit_propensity
 from causet.frame import Column, Frame, write_csv
 from causet.learners import LearnerSpec
-from causet.metalearners import r_learner, s_learner, t_learner, x_learner
-from causet.pipeline import QuerySpec, run_query
+from causet.metalearners import LEARNERS, r_learner, s_learner, t_learner, x_learner
+from causet.pipeline import Nuisances, QuerySpec, run_query
 from causet.rng import make_rng
 from causet.synth import generate
 
 LINEAR = LearnerSpec("linear")
 GBT_SMALL = LearnerSpec("gbt", min_leaf=1, leaf_penalty=0.0)
+X_BASES = [LINEAR, LearnerSpec("gbt", max_iterations=20)]
 
 
 def make_frame(t, y, **covs):
@@ -114,38 +115,46 @@ class TestXLearner:
 
 
 class TestXLearnerStage1:
-    """X's stage 1 is the T-learner's pair of arm models."""
+    """X's stage 1 is the T-learner of X's own arguments: a ``t_fit`` hands
+    back a fit only for those, so a fit for another outcome or frame never
+    enters X."""
 
     @staticmethod
-    def world():
-        f = generate(n=600, sigma=1.0, seed=31).to_frame()
+    def world(seed=31):
+        f = generate(n=600, sigma=1.0, seed=seed).to_frame()
         z = ("x0", "x1", "x2", "x3", "x4")
         return f, z, fit_propensity(f, "w", z)
 
-    @pytest.mark.parametrize("base", [LINEAR, LearnerSpec("gbt", max_iterations=20)])
-    def test_shared_stage1_equals_standalone(self, base):
-        f, z, pm = self.world()
-        alone = x_learner(f, "w", "y", z, base, pm)
-        stage1 = t_learner(f, "w", "y", z, base)
-        shared = x_learner(f, "w", "y", z, base, pm, stage1)
-        assert shared.models["mu1"] is stage1.models["mu1"]
-        assert shared.models["mu0"] is stage1.models["mu0"]
-        assert shared.ite.tobytes() == alone.ite.tobytes()
-        assert shared.ate == alone.ate
+    @staticmethod
+    def assert_same_bits(cate, alone):
+        assert cate.ite.tobytes() == alone.ite.tobytes()
+        assert cate.ate.hex() == alone.ate.hex()
         g = generate(n=50, sigma=1.0, seed=32).to_frame()
-        assert shared.predict_ite(g).tobytes() == alone.predict_ite(g).tobytes()
+        assert cate.predict_ite(g).tobytes() == alone.predict_ite(g).tobytes()
 
-    def test_rejects_foreign_stage1(self):
+    @pytest.mark.parametrize("base", X_BASES)
+    def test_query_path_equals_standalone(self, base):
         f, z, pm = self.world()
-        gbt = LearnerSpec("gbt", max_iterations=5)
-        foreign = {
-            "another learner": s_learner(f, "w", "y", z, LINEAR),
-            "another base": t_learner(f, "w", "y", z, gbt),
-            "another feature set": t_learner(f, "w", "y", z[:3], LINEAR),
-        }
-        for why, stage1 in foreign.items():
-            with pytest.raises(ValueError, match="stage 1"):
-                x_learner(f, "w", "y", z, LINEAR, pm, stage1)
+        nu = Nuisances(f, "w", "y", z)
+        t_cate = LEARNERS["T"][0](nu, base)
+        x_cate = LEARNERS["X"][0](nu, base)
+        assert x_cate.models["mu1"] is t_cate.models["mu1"]
+        assert x_cate.models["mu0"] is t_cate.models["mu0"]
+        self.assert_same_bits(x_cate, x_learner(f, "w", "y", z, base, pm))
+
+    @pytest.mark.parametrize("base", X_BASES)
+    @pytest.mark.parametrize("other", ["outcome", "frame"])
+    def test_t_fit_of_a_cache_for_other_data_is_not_stage1(self, base, other):
+        f, z, pm = self.world()
+        # a cache for another outcome, or for another frame with as many rows
+        g, y = (f, "b_true") if other == "outcome" else (self.world(seed=34)[0], "y")
+        nu = Nuisances(g, "w", y, z)
+        foreign = nu.t_learner(g, "w", y, z, base)
+        # that fit as stage 1 moves X's bits, so the check below can fail
+        wrong = x_learner(f, "w", "y", z, base, pm, lambda *args: foreign)
+        alone = x_learner(f, "w", "y", z, base, pm)
+        assert g.n_rows == f.n_rows and wrong.ite.tobytes() != alone.ite.tobytes()
+        self.assert_same_bits(x_learner(f, "w", "y", z, base, pm, nu.t_learner), alone)
 
     def test_order_of_t_and_x_in_a_query_does_not_matter(self, tmp_path):
         f = generate(n=400, sigma=1.0, seed=33).to_frame()
